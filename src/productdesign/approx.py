@@ -36,6 +36,7 @@ from .market import (
     evaluate,
 )
 from .simplices import (
+    SimplexArray,
     SimplexHomothet,
     deepest_point_approx,
     deepest_point_exact,
@@ -93,6 +94,15 @@ def level_schedule(r: float, epsilon: float, n: int) -> LevelSchedule:
     return LevelSchedule(r, epsilon, tuple(r * shrink**i for i in range(count + 1)))
 
 
+def _projection(market: Market, c: float) -> tuple[SimplexArray, np.ndarray]:
+    """Homothets of the customers with margin at least ``c``, and their indices."""
+    if c <= 0:
+        raise ValueError(f"level constant must be positive, got {c}")
+    margins = market.prices - market.qualities.sum(axis=1)
+    idx = np.flatnonzero(margins >= c)
+    return SimplexArray(market.qualities[idx], margins[idx] - c), idx
+
+
 def project_customers(market: Market, c: float) -> list[tuple[SimplexHomothet, int]]:
     """Customers' reach on the margin-``c`` plane, as (homothet, index) pairs.
 
@@ -100,18 +110,8 @@ def project_customers(market: Market, c: float) -> list[tuple[SimplexHomothet, i
     requirements and size ``ppu_j - c``; customers with smaller margins
     cannot consider any product that profitable and are omitted.
     """
-    if c <= 0:
-        raise ValueError(f"level constant must be positive, got {c}")
-    margins = market.prices - market.qualities.sum(axis=1)
-    return [
-        (
-            SimplexHomothet(
-                tuple(map(float, market.qualities[j])), float(margins[j] - c)
-            ),
-            int(j),
-        )
-        for j in np.flatnonzero(margins >= c)
-    ]
+    sims, idx = _projection(market, c)
+    return list(zip(sims, map(int, idx)))
 
 
 def lift_point(x: Iterable[float], c: float) -> Product:
@@ -169,10 +169,9 @@ def solve_approx_detailed(
 
     level_seeds = np.random.SeedSequence(seed % 2**63).spawn(len(schedule.levels))
     for i, c in enumerate(schedule.levels):
-        projected = project_customers(market, c)
-        if not projected:
+        sims, _ = _projection(market, c)
+        if not sims:
             continue
-        sims = [s for s, _ in projected]
         if depth_mode == "exact":
             found = deepest_point_exact(sims)
         else:

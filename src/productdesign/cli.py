@@ -105,10 +105,7 @@ def run(config: RunConfig) -> dict:
         diagnostics = {
             "events": stats.events,
             "candidates_appended": stats.appended,
-            "certificate_pushes": stats.certificate_pushes,
-            "certificate_pops": stats.certificate_pops,
-            "deletions": stats.deletions,
-            "peak_list_length": stats.peak_list_length,
+            "entries": stats.entries,
         }
     elif config.algorithm == "approx":
         report, levels = solve_approx_detailed(
@@ -218,7 +215,7 @@ def _cmd_bench(args) -> int:
                     "n": n,
                     "ms": round(ms, 3),
                     "profit": report.profit,
-                    "certificate_pushes": stats.certificate_pushes,
+                    "entries": stats.entries,
                 }
             )
         ratios = [

@@ -252,7 +252,9 @@ def _pareto_witness(
     if not mask.any():
         return None
     dominated = int(np.flatnonzero(mask)[0])
-    dom = (prices < prices[dominated]) & (qualities > qualities[dominated]).all(axis=1)
+    dom = prices < prices[dominated]
+    for k in range(qualities.shape[1]):
+        dom &= qualities[:, k] > qualities[dominated, k]
     return dominated, int(np.flatnonzero(dom)[0])
 
 
@@ -272,12 +274,15 @@ def _dominated_mask(prices: np.ndarray, qualities: np.ndarray) -> np.ndarray:
         mask[order] = qs < prev_max[gid]
         return mask
     mask = np.zeros(n, dtype=bool)
+    cols = [np.ascontiguousarray(qualities[:, k]) for k in range(qualities.shape[1])]
     chunk = max(1, 2_000_000 // max(1, n))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        cheaper = prices[:, None] < prices[None, lo:hi]
-        stricter = (qualities[:, None, :] > qualities[None, lo:hi, :]).all(axis=2)
-        mask[lo:hi] = (cheaper & stricter).any(axis=0)
+        # dom[i, j]: customer i is cheaper than and stricter than lo + j
+        dom = prices[:, None] < prices[None, lo:hi]
+        for col in cols:
+            dom &= col[:, None] > col[None, lo:hi]
+        mask[lo:hi] = dom.any(axis=0)
     return mask
 
 
@@ -299,9 +304,12 @@ def validate_pareto(customers: Iterable[Customer]) -> list[tuple[int, int]]:
             )
     prices = np.array([c.price for c in cs], dtype=float)
     qualities = np.array([c.qualities for c in cs], dtype=float)
+    cols = [np.ascontiguousarray(qualities[:, k]) for k in range(dim)]
     pairs: list[tuple[int, int]] = []
     for a in range(len(cs)):
-        dominating = (prices < prices[a]) & (qualities > qualities[a]).all(axis=1)
+        dominating = prices < prices[a]
+        for col in cols:
+            dominating &= col > col[a]
         pairs.extend((a, int(b)) for b in np.flatnonzero(dominating))
     return pairs
 

@@ -17,7 +17,20 @@ subset, so does the componentwise max of that subset's corners, hence
 some deepest point has every coordinate drawn from the per-axis corner
 values.
 
-All structures are immutable once built and queries are pure.
+The exact deepest point slices that corner grid one axis at a time.  A
+homothet meets the grid lines through a fixed prefix ``x_0 .. x_{k-1}`` in
+a contiguous run of axis-``k`` values (its slice is again a corner
+simplex, of size ``s - sum_{i<k} (x_i - a_i)``), so each (prefix,
+homothet) pair expands into the run of prefixes one axis longer; on the
+last axis every grid line is stabbed by its runs at once.  The work is
+the number of pairs expanded plus the stab events, which follows the
+arrangement's local depth rather than the grid's size; it is counted
+before each expansion allocates anything, so an oversized query is
+refused before it grows.
+
+Homothets can be given one object at a time (:class:`SimplexHomothet`) or
+as arrays (:class:`SimplexArray`); every query accepts either.  All
+structures are immutable once built and queries are pure.
 """
 
 from __future__ import annotations
@@ -31,8 +44,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, GuardExceededError
 
-# Grid cells times instance size allowed in the exhaustive deepest-point scan.
+# Pairs expanded plus stab events allowed in one exact deepest-point query.
 EXACT_DEPTH_GUARD = 300_000_000
+
+# Pairs expanded at once; larger expansions run in consecutive key windows,
+# which bounds the query's peak memory (about 100 bytes per pair).
+_PAIR_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -88,9 +105,51 @@ def intersects(s1: SimplexHomothet, s2: SimplexHomothet) -> bool:
     return meet <= min(s1.sum_cap, s2.sum_cap)
 
 
+class SimplexArray(Sequence[SimplexHomothet]):
+    """Homothets stored as a corner matrix ``(n, d)`` and a size vector ``(n,)``.
+
+    Validated once on construction with the same rules as
+    :class:`SimplexHomothet`; indexing with an integer builds that object,
+    and indexing with a slice, mask or index array gives another
+    ``SimplexArray``.  The arrays are read-only copies.
+    """
+
+    __slots__ = ("corners", "sizes")
+
+    def __init__(self, corners, sizes):
+        c = np.array(corners, dtype=float)
+        s = np.array(sizes, dtype=float)
+        if c.ndim != 2 or c.shape[1] < 1:
+            raise ValueError(
+                f"corners must have shape (n, d) with d >= 1, got {c.shape}"
+            )
+        if s.shape != (c.shape[0],):
+            raise DimensionMismatchError(
+                f"sizes shape {s.shape} does not match {c.shape[0]} corners"
+            )
+        if not (np.isfinite(c).all() and np.isfinite(s).all()):
+            raise ValueError("corner and size must be finite")
+        if (s < 0).any():
+            raise ValueError(f"size must be nonnegative, got {s[s < 0][0]}")
+        c.setflags(write=False)
+        s.setflags(write=False)
+        self.corners = c
+        self.sizes = s
+
+    def __len__(self) -> int:
+        return self.sizes.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return SimplexHomothet(tuple(self.corners[key]), self.sizes[key])
+        return SimplexArray(self.corners[key], self.sizes[key])
+
+
 def _as_arrays(simplices: Sequence[SimplexHomothet]) -> tuple[np.ndarray, np.ndarray]:
-    if not simplices:
+    if not len(simplices):
         raise ValueError("need at least one simplex")
+    if isinstance(simplices, SimplexArray):
+        return simplices.corners, simplices.sizes
     d = simplices[0].dim
     for i, s in enumerate(simplices):
         if s.dim != d:
@@ -259,41 +318,6 @@ def _crossings_2d(a: SimplexHomothet, b: SimplexHomothet) -> int:
     return count
 
 
-def _max_interval_depth(lo: np.ndarray, hi: np.ndarray) -> int:
-    """Max stabbing depth of closed intervals [lo_i, hi_i]."""
-    m = lo.shape[0]
-    coords = np.concatenate([lo, hi])
-    kind = np.concatenate([np.zeros(m, dtype=np.int8), np.ones(m, dtype=np.int8)])
-    order = np.lexsort((kind, coords))  # opens before closes at equal coordinates
-    delta = np.where(kind[order] == 0, 1, -1)
-    return int(np.cumsum(delta).max())
-
-
-def _max_depth_exact(corners: np.ndarray, sizes: np.ndarray) -> int:
-    """Exact max depth; scan-based for d <= 2, grid-based above."""
-    n, d = corners.shape
-    if d == 1:
-        return _max_interval_depth(corners[:, 0], corners[:, 0] + sizes)
-    if d == 2:
-        # Some deepest point has both coordinates among corner values, so
-        # sweeping the vertical lines through corner x-values and stabbing
-        # the induced y-intervals is exact at any size.
-        best = 0
-        caps = corners.sum(axis=1) + sizes
-        for x in np.unique(corners[:, 0]):
-            active = (corners[:, 0] <= x) & (x <= corners[:, 0] + sizes)
-            if int(active.sum()) <= best:
-                continue
-            lo = corners[active, 1]
-            hi = caps[active] - x
-            best = max(best, _max_interval_depth(lo, hi))
-        return best
-    sims = [
-        SimplexHomothet(tuple(corners[i]), float(sizes[i])) for i in range(n)
-    ]
-    return deepest_point_exact(sims).depth
-
-
 def arrangement_stats(
     simplices: Sequence[SimplexHomothet], *, count_vertices: bool = True
 ) -> ArrangementStats:
@@ -327,7 +351,7 @@ def arrangement_stats(
                 vertices += _crossings_2d(sims[i], sims[j])
     return ArrangementStats(
         vertex_count=vertices,
-        max_depth=_max_depth_exact(corners, sizes),
+        max_depth=deepest_point_exact(sims).depth,
         pairwise_intersections=pairwise,
     )
 
@@ -347,43 +371,186 @@ class DepthResult:
     exact: bool
 
 
+class _GridSlicer:
+    """Deepest corner-grid point of a set of homothets, one axis at a time.
+
+    Grid points are indexed by their per-axis positions in the sorted
+    distinct corner values ``axes[k]`` (``m_k`` of them).  A homothet
+    contains grid point ``x`` under the grid's own float predicate: every
+    ``x_k >= a_k`` and ``((0.0 + x_0) + x_1) + ... <= sum(a) + s``, summed
+    in axis order.  That sum never decreases when a coordinate grows, so
+    the axis-``k`` values admitted for a fixed prefix form one run of
+    positions ``[lo, hi)``: ``lo`` is the corner's own position and ``hi``
+    is where the prefix, completed by the corner's remaining coordinates
+    (the smallest admitted completion), first exceeds the cap.
+
+    At stage ``k`` every (prefix row, homothet) pair is an interval of
+    keys ``row * m_k + position``.  Row numbers are mixed-radix prefix
+    keys, so key order is lexicographic grid order.  A stage before the
+    last expands each interval into one pair per key (``np.repeat``); the
+    keys become the next stage's row numbers, renumbered densely with
+    ``np.unique`` when the grid is too large for int64 codes.  The last
+    stage stabs all its intervals with one sort and ``cumsum``, closes
+    before opens at a key; the first maximum is the lexicographically
+    smallest deepest point.  Expansions of more than ``_PAIR_BUDGET``
+    pairs run one key window at a time, in key order.
+    """
+
+    def __init__(self, corners: np.ndarray, sizes: np.ndarray, max_work: int):
+        self.n, self.d = corners.shape
+        self.cols = [np.ascontiguousarray(corners[:, k]) for k in range(self.d)]
+        self.caps = corners.sum(axis=1) + sizes
+        # Per-axis sorted values and each corner's position among them.
+        self.axes = [np.unique(col) for col in self.cols]
+        self.pos = [np.searchsorted(ax, col) for ax, col in zip(self.axes, self.cols)]
+        # Sum of the coordinates after axis k, for the estimate of `hi`.
+        self.rest = [corners[:, k + 1 :].sum(axis=1) for k in range(self.d)]
+        # Row keys below R at stage k give stab codes below R * span[k].
+        self.span = [
+            2 * math.prod(ax.size for ax in self.axes[k:]) for k in range(self.d)
+        ]
+        self.max_work = max_work
+        self.work = 0
+
+    def solve(self) -> tuple[int, tuple[int, ...]]:
+        """Max depth and the grid positions of the lex-smallest deepest point."""
+        sim = np.arange(self.n)
+        part = np.zeros(self.n)
+        end = self._ends(0, sim, part)
+        depth, key, tail = self._stage(0, sim, part, self.pos[0], end)
+        if depth == 0:  # only if rounding keeps every homothet off the grid
+            return 0, (0,) * self.d
+        return depth, (key,) + tail
+
+    def _charge(self, work: int):
+        self.work += work
+        if self.work > self.max_work:
+            raise GuardExceededError(
+                f"exact depth work {self.work} (pairs plus stab events) "
+                f"exceeds the {self.max_work} guard"
+            )
+
+    def _fits(self, k, sim, part, at):
+        """Whether position ``at`` on axis ``k``, completed by the corners'
+        remaining coordinates, is under each pair's cap."""
+        total = part + self.axes[k][at]
+        for i in range(k + 1, self.d):
+            total = total + self.cols[i][sim]
+        return total <= self.caps[sim]
+
+    def _ends(self, k, sim, part):
+        """One past the last axis-``k`` position each pair admits."""
+        axis = self.axes[k]
+        m = axis.size
+        bound = self.caps[sim] - part - self.rest[k][sim]
+        hi = np.searchsorted(axis, bound, side="right")
+        # The subtracted bound is only an estimate of the float predicate:
+        # keep `hi` where it is exact, bisect the rest on the predicate.
+        above = (hi < m) & self._fits(k, sim, part, np.minimum(hi, m - 1))
+        below = (hi > 0) & ~self._fits(k, sim, part, np.maximum(hi - 1, 0))
+        wrong = np.flatnonzero(above | below)
+        if wrong.size:
+            s, p = sim[wrong], part[wrong]
+            lo = np.zeros(wrong.size, dtype=np.intp)
+            up = np.full(wrong.size, m, dtype=np.intp)
+            while (lo < up).any():
+                mid = (lo + up) // 2
+                ok = self._fits(k, s, p, np.minimum(mid, m - 1))
+                active = lo < up
+                lo = np.where(active & ok, mid + 1, lo)
+                up = np.where(active & ~ok, mid, up)
+            hi[wrong] = lo
+        return np.maximum(hi, self.pos[k][sim])
+
+    def _stage(self, k, sim, part, start, end):
+        """Best (depth, key, later positions) over the intervals at stage k."""
+        if k == self.d - 1:
+            if k == 0:
+                self._charge(2 * start.size)
+            codes = np.concatenate([end * 2, start * 2 + 1])
+            codes.sort()
+            running = np.cumsum((codes & 1) * 2 - 1)
+            at = int(np.argmax(running))
+            return int(running[at]), int(codes[at] >> 1), ()
+        total = int((end - start).sum())
+        # Every pair of the last expansion becomes one stab interval.
+        self._charge(3 * total if k == self.d - 2 else total)
+        if total <= _PAIR_BUDGET:
+            return self._expand(k, sim, part, start, end)
+        best = (0, 0, ())
+        for lo, hi in _key_windows(start, end, total // _PAIR_BUDGET + 1):
+            s, e = np.maximum(start, lo), np.minimum(end, hi)
+            keep = s < e
+            found = self._expand(k, sim[keep], part[keep], s[keep], e[keep])
+            if found[0] > best[0]:
+                best = found
+        return best
+
+    def _expand(self, k, sim, part, start, end):
+        cnt = end - start
+        total = int(cnt.sum())
+        if total == 0:
+            return 0, 0, ()
+        first = np.cumsum(cnt) - cnt
+        keys = np.repeat(start - first, cnt) + np.arange(total)
+        sim = np.repeat(sim, cnt)
+        part = np.repeat(part, cnt) + self.axes[k][keys % self.axes[k].size]
+        # The keys are the next stage's row numbers; renumber them densely
+        # only where the stab codes could overflow int64.
+        rows_of, row = None, keys
+        if (int(keys.max()) + 1) * self.span[k + 1] >= 2**62:
+            rows_of, row = np.unique(keys, return_inverse=True)
+        m = self.axes[k + 1].size
+        row = row * m
+        start = row + self.pos[k + 1][sim]
+        end = row + self._ends(k + 1, sim, part)
+        depth, key, tail = self._stage(k + 1, sim, part, start, end)
+        if depth == 0:
+            return 0, 0, ()
+        row_key = key // m if rows_of is None else int(rows_of[key // m])
+        return depth, row_key, (key % m,) + tail
+
+
+def _key_windows(start: np.ndarray, end: np.ndarray, parts: int):
+    """Consecutive key windows ``[lo, hi)`` that split the incidences of
+    the intervals ``[start, end)`` into about ``parts`` equal shares."""
+    # C(K), the incidences at keys below K, is piecewise linear between
+    # interval ends; interpolate the keys where it crosses each share.
+    base = start.min()
+    marks = np.unique(np.concatenate([start, end]) - base).astype(float)
+    s, e = np.sort(start - base).astype(float), np.sort(end - base).astype(float)
+    cs, ce = np.r_[0.0, np.cumsum(s)], np.r_[0.0, np.cumsum(e)]
+    a = np.searchsorted(s, marks)
+    b = np.searchsorted(e, marks)
+    below = (a * marks - cs[a]) - (b * marks - ce[b])
+    total = below[-1]
+    shares = total * np.arange(1, parts) / parts + 0.5
+    cuts = base + np.floor(np.interp(shares, below, marks)).astype(np.int64)
+    bounds = np.unique(np.r_[base, cuts, end.max()])
+    return zip(bounds[:-1], bounds[1:])
+
+
 def deepest_point_exact(
     simplices: Sequence[SimplexHomothet], *, max_grid_work: int = EXACT_DEPTH_GUARD
 ) -> DepthResult:
-    """Deepest point via the per-axis corner-value grid.
+    """Deepest point of the homothets, by slicing the corner-value grid.
 
-    Evaluates the depth of every grid combination (some optimum lies on
-    that grid — see the module notes) and returns the maximum with the
-    lexicographically smallest optimal point.  Work is ``grid cells * n``;
-    instances above ``max_grid_work`` are rejected.
+    Some optimum lies on the grid of per-axis corner values (see the
+    module notes); this returns the maximum depth over that grid and the
+    lexicographically smallest grid point attaining it, with the grid's
+    float membership predicate (see :class:`_GridSlicer`).  The work is the
+    number of (grid-line prefix, homothet) pairs expanded plus two stab
+    events per pair on the last axis, about ``n`` times the mean number of
+    grid lines a homothet spans; it is counted before each expansion
+    allocates anything, and a query whose count passes ``max_grid_work``
+    raises :class:`GuardExceededError`.  Peak memory is bounded by
+    expanding at most ``_PAIR_BUDGET`` pairs at once.
     """
     corners, sizes = _as_arrays(simplices)
-    n, d = corners.shape
-    axes = [np.unique(corners[:, k]) for k in range(d)]
-    shape = tuple(int(a.size) for a in axes)
-    cells = 1
-    for s in shape:
-        cells *= s
-    if cells * n > max_grid_work:
-        raise GuardExceededError(
-            f"grid work {cells * n} exceeds the {max_grid_work} guard"
-        )
-    total = np.zeros(shape, dtype=float)
-    for k in range(d):
-        total = total + axes[k].reshape((1,) * k + (-1,) + (1,) * (d - k - 1))
-    caps = corners.sum(axis=1) + sizes
-    depth = np.zeros(shape, dtype=np.int32)
-    for j in range(n):
-        mask = total <= caps[j]
-        for k in range(d):
-            mask &= axes[k].reshape((1,) * k + (-1,) + (1,) * (d - k - 1)) >= corners[
-                j, k
-            ]
-        depth += mask
-    flat_best = int(np.argmax(depth))  # first max in C-order == lex-smallest point
-    at = np.unravel_index(flat_best, shape)
-    point = tuple(float(axes[k][at[k]]) for k in range(d))
-    return DepthResult(point, int(depth[at]), exact=True)
+    slicer = _GridSlicer(corners, sizes, max_grid_work)
+    depth, at = slicer.solve()
+    point = tuple(float(slicer.axes[k][i]) for k, i in enumerate(at))
+    return DepthResult(point, depth, exact=True)
 
 
 def sample_probability(n: int, epsilon: float, depth_guess: float) -> float:
@@ -418,9 +585,11 @@ def deepest_point_approx(
     Deterministic in ``seed``.  ``trace``, when given, receives one dict
     per round for diagnostics.
     """
-    sims = list(simplices)
-    if not sims:
-        raise ValueError("need at least one simplex")
+    corners, sizes = _as_arrays(simplices)
+    if isinstance(simplices, SimplexArray):
+        sims = simplices
+    else:
+        sims = SimplexArray(corners, sizes)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     n = len(sims)
@@ -443,8 +612,7 @@ def deepest_point_approx(
             if rate >= 1.0:
                 sample = sims
             else:
-                mask = rng.random(n) < rate
-                sample = [s for s, keep in zip(sims, mask) if keep]
+                sample = sims[rng.random(n) < rate]
             if trace is not None:
                 trace.append(
                     {"guess": guess, "rate": rate, "sample_size": len(sample)}

@@ -44,3 +44,32 @@ def vertex_oracle_depth(sims) -> int:
         (arr[:, None, :] - corners[None, :, :]).sum(axis=2) <= sizes[None, :]
     )
     return int(inside.sum(axis=1).max())
+
+
+def grid_scan_deepest(sims) -> tuple[tuple[float, ...], int]:
+    """Reference deepest point: the depth of every corner-grid cell.
+
+    Adds one homothet at a time over the full grid of per-axis corner
+    values, with the grid's float predicate ``x_k >= a_k`` and
+    ``((0.0 + x_0) + x_1) + ... <= sum(a) + s``; returns the
+    lexicographically smallest deepest grid point (first maximum in
+    C order) and its depth.  Costs grid cells times ``n``.
+    """
+    corners = np.array([s.corner for s in sims], dtype=float)
+    sizes = np.array([s.size for s in sims], dtype=float)
+    n, d = corners.shape
+    axes = [np.unique(corners[:, k]) for k in range(d)]
+    shape = tuple(int(a.size) for a in axes)
+    grid = [axes[k].reshape((1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
+    total = np.zeros(shape, dtype=float)
+    for k in range(d):
+        total = total + grid[k]
+    caps = corners.sum(axis=1) + sizes
+    depth = np.zeros(shape, dtype=np.int32)
+    for j in range(n):
+        mask = total <= caps[j]
+        for k in range(d):
+            mask &= grid[k] >= corners[j, k]
+        depth += mask
+    at = np.unravel_index(int(np.argmax(depth)), shape)
+    return tuple(float(axes[k][at[k]]) for k in range(d)), int(depth[at])

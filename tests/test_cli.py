@@ -1,8 +1,10 @@
 import json
+from functools import partial
 
 import pytest
 
 import productdesign as pd
+from productdesign import approx
 from productdesign.cli import RunConfig, load_market, main, run
 
 
@@ -75,6 +77,14 @@ class TestRun:
         }
         assert report["schema_version"] == 1
         assert report["diagnostics"]["events"] == 2
+        market, _ = load_market(two_customer_csv)
+        _, stats = pd.solve_exact_1d_with_stats(market)
+        assert report["diagnostics"] == {
+            "events": 2,
+            "candidates_appended": 2,
+            "entries": stats.entries,
+        }
+        assert stats.entries >= 2
 
     def test_bruteforce_agrees_with_approx_bound(self, tmp_path):
         market = pd.random_pareto_market(30, 2, seed=11, value_range=(0, 12))
@@ -159,6 +169,20 @@ class TestMainExitCodes:
         path.write_text(pd.market_to_csv(market))
         code = main(["solve", "--input", str(path), "--algorithm", "bruteforce"])
         assert code == 3
+
+    def test_depth_guard_breach_is_3(self, tmp_path, capsys, monkeypatch):
+        market = pd.random_pareto_market(30, 2, seed=3, value_range=(0, 12))
+        path = tmp_path / "m.csv"
+        path.write_text(pd.market_to_csv(market))
+        monkeypatch.setattr(
+            approx,
+            "deepest_point_exact",
+            partial(pd.deepest_point_exact, max_grid_work=10),
+        )
+        argv = ["solve", "--input", str(path), "--algorithm", "approx"]
+        code = main(argv + ["--epsilon", "0.25"])
+        assert code == 3
+        assert "guard" in capsys.readouterr().err
 
     def test_exact1d_requires_dim1(self, tmp_path, capsys):
         market = pd.random_pareto_market(10, 2, seed=0)
@@ -251,6 +275,7 @@ class TestBench:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert [r["n"] for r in payload["runs"]] == [500, 1000]
+        assert all(r["entries"] >= r["n"] for r in payload["runs"])
 
     def test_arrangement_bench_smoke(self, capsys):
         code = main(

@@ -4,11 +4,34 @@ import numpy as np
 import pytest
 
 import productdesign as pd
+from productdesign import simplices
 from productdesign.simplices import EXACT_DEPTH_GUARD, sample_probability
 
-from conftest import vertex_oracle_depth
+from conftest import grid_scan_deepest, vertex_oracle_depth
 
 S = pd.SimplexHomothet
+
+FAMILIES = ("integer", "float", "step", "zero_size", "duplicate")
+
+
+def family_homothets(rng, family: str, n: int, d: int) -> pd.SimplexArray:
+    """Random homothets whose coordinates stress one kind of input."""
+    if family == "integer":
+        corners = rng.integers(0, 10, (n, d)).astype(float)
+        sizes = rng.integers(0, 5, n).astype(float)
+    elif family == "float":
+        corners = rng.uniform(0, 8, (n, d))
+        sizes = rng.uniform(0, 3, n)
+    elif family == "step":  # 0.01 steps: sums that round
+        corners = np.round(rng.uniform(0, 1, (n, d)), 2)
+        sizes = np.round(rng.uniform(0, 0.5, n), 2)
+    elif family == "zero_size":
+        corners = rng.integers(0, 6, (n, d)).astype(float)
+        sizes = np.zeros(n)
+    else:  # duplicate corners drawn from a few values
+        corners = rng.integers(0, 3, (n, d)) * 0.1
+        sizes = rng.integers(0, 4, n) * 0.1
+    return pd.SimplexArray(corners, sizes)
 
 
 class TestSimplexType:
@@ -139,6 +162,47 @@ class TestArrangementStats:
             assert st.max_depth == pd.deepest_point_exact(sims).depth
 
 
+class TestSimplexArray:
+    def test_items_match_objects(self):
+        sims = pd.random_homothets(20, 3, seed=2)
+        arr = pd.SimplexArray([s.corner for s in sims], [s.size for s in sims])
+        assert len(arr) == 20
+        assert list(arr) == sims
+        assert arr[4] == sims[4]
+        assert list(arr[2:5]) == sims[2:5]
+        mask = np.arange(20) % 3 == 0
+        assert list(arr[mask]) == [s for s, keep in zip(sims, mask) if keep]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            pd.SimplexArray(np.zeros((3, 0)), np.zeros(3))
+        with pytest.raises(pd.DimensionMismatchError):
+            pd.SimplexArray(np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ValueError):
+            pd.SimplexArray([[0.0, 1.0]], [-0.5])
+        with pytest.raises(ValueError):
+            pd.SimplexArray([[float("nan"), 1.0]], [1.0])
+
+    def test_arrays_are_read_only_copies(self):
+        corners = np.zeros((2, 2))
+        arr = pd.SimplexArray(corners, [1.0, 2.0])
+        corners[0, 0] = 5.0
+        assert arr[0].corner == (0.0, 0.0)
+        with pytest.raises(ValueError):
+            arr.sizes[0] = 3.0
+
+    def test_queries_accept_arrays(self):
+        sims = pd.random_homothets(30, 2, seed=6)
+        arr = pd.SimplexArray([s.corner for s in sims], [s.size for s in sims])
+        assert pd.deepest_point_exact(arr) == pd.deepest_point_exact(sims)
+        assert pd.depth_at(arr, (4.0, 4.0)) == pd.depth_at(sims, (4.0, 4.0))
+        assert pd.deepest_point_approx(arr, 0.3, seed=1) == pd.deepest_point_approx(
+            sims, 0.3, seed=1
+        )
+        with pytest.raises(ValueError):
+            pd.deepest_point_exact(arr[:0])
+
+
 class TestDeepestPointExact:
     def test_single_simplex(self):
         res = pd.deepest_point_exact([S((0, 0), 1)])
@@ -156,6 +220,111 @@ class TestDeepestPointExact:
     def test_lexicographic_tie_break(self):
         res = pd.deepest_point_exact([S((0, 0), 1), S((3, 3), 1)])
         assert res.point == (0.0, 0.0)  # both corners reach depth 1
+        res = pd.deepest_point_exact([S((1, 0), 0), S((0, 1), 0)])
+        assert res.point == (0.0, 1.0)
+        # depth-2 points (0, 1, 5) and (0, 2, 0): the smaller second
+        # coordinate wins although its last coordinate is larger
+        res = pd.deepest_point_exact(
+            [S((0, 2, 0), 0), S((0, 2, 0), 0), S((0, 1, 5), 0), S((0, 1, 5), 0)]
+        )
+        assert res == pd.DepthResult((0.0, 1.0, 5.0), 2, True)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_grid_scan(self, d, family):
+        rng = np.random.default_rng(100 * d + FAMILIES.index(family))
+        for _ in range(40):
+            sims = family_homothets(rng, family, int(rng.integers(1, 40)), d)
+            res = pd.deepest_point_exact(sims)
+            assert (res.point, res.depth) == grid_scan_deepest(sims)
+
+    def test_windowed_expansion_matches_grid_scan(self, monkeypatch):
+        # a tiny pair budget makes every expansion run in many key windows
+        rng = np.random.default_rng(5)
+        for budget in (1, 3, 40):
+            monkeypatch.setattr(simplices, "_PAIR_BUDGET", budget)
+            for i in range(60):
+                d = (2, 3, 4)[i % 3]
+                family = FAMILIES[i % len(FAMILIES)]
+                sims = family_homothets(rng, family, int(rng.integers(1, 30)), d)
+                res = pd.deepest_point_exact(sims)
+                assert (res.point, res.depth) == grid_scan_deepest(sims)
+
+    def test_rounded_sums_follow_the_grid_predicate(self):
+        # 1e16 + 1.0 rounds down to 1e16, so the size-0 homothet at
+        # (1e16, 0) holds (1e16, 0.5) and (1e16, 1.0) under the grid's sum
+        sims = [S((1e16, v), 0.0) for v in (0.0, 0.5, 1.0, 1.5)] + [S((0, 0), 1)]
+        res = pd.deepest_point_exact(sims)
+        assert res == pd.DepthResult((1e16, 1.0), 3, True)
+        assert (res.point, res.depth) == grid_scan_deepest(sims)
+        rng = np.random.default_rng(9)
+        values = [0.0, 1e-17, 3e-17, 1e-16, 0.1, 0.2, 0.3, 1.0, 1e16, 1e16 + 2]
+        for i in range(150):
+            d = 1 + i % 3
+            n = int(rng.integers(1, 25))
+            sims = pd.SimplexArray(
+                rng.choice(values, (n, d)),
+                rng.choice([0.0, 1e-16, 0.1, 1.0, 2.0, 1e16], n),
+            )
+            res = pd.deepest_point_exact(sims)
+            assert (res.point, res.depth) == grid_scan_deepest(sims)
+
+    def test_distinct_float_plane_beyond_the_grid_scan(self):
+        # 4000 distinct values per axis: the grid scan would visit
+        # 4000**2 cells 4000 times, far past the guard
+        sims = pd.random_homothets(4000, 2, seed=5)
+        assert 4000**3 > EXACT_DEPTH_GUARD
+        res = pd.deepest_point_exact(sims)
+        assert res.depth == pd.depth_at(sims, res.point) > 1
+        # independent max depth: stab the y-intervals [a_1, cap - x] cut
+        # by the vertical line through every corner x-value
+        corners = np.array([s.corner for s in sims])
+        caps = corners.sum(axis=1) + np.array([s.size for s in sims])
+        best = 0
+        for x in np.unique(corners[:, 0]):
+            on = (corners[:, 0] <= x) & (corners[:, 1] <= caps - x)
+            ends = np.r_[corners[on, 1], caps[on] - x]
+            opens = np.r_[np.ones(on.sum()), -np.ones(on.sum())]
+            order = np.lexsort((-opens, ends))  # opens first at a coordinate
+            best = max(best, int(np.cumsum(opens[order]).max(initial=0)))
+        assert res.depth == best
+
+    def test_huge_grid_renumbers_rows(self):
+        # 50000 distinct integers per axis in d=4: the grid has more cells
+        # than int64 codes, so the row numbers must be renumbered densely
+        rng = np.random.default_rng(8)
+        corners = np.stack(
+            [rng.permutation(10**6)[:50_000] for _ in range(4)], axis=1
+        ).astype(float)
+        p = corners[7]
+        q = np.r_[-1.0, corners[11, 1:]]
+        corners = np.vstack([corners, p, p, q, q, q])
+        sims = pd.SimplexArray(corners, np.zeros(len(corners)))
+        res = pd.deepest_point_exact(sims)
+        assert res == pd.DepthResult(tuple(q), 3, True)
+
+    def test_guard_counts_pairs_and_stab_events(self):
+        # d=2: one pair per admitted (x_0 value, homothet), then two stab
+        # events per pair
+        sims = pd.random_homothets(50, 2, seed=0)
+        corners = np.array([s.corner for s in sims])
+        caps = corners.sum(axis=1) + np.array([s.size for s in sims])
+        xs = np.unique(corners[:, 0])[:, None]
+        pairs = int(((xs >= corners[:, 0]) & (xs + corners[:, 1] <= caps)).sum())
+        pd.deepest_point_exact(sims, max_grid_work=3 * pairs)
+        with pytest.raises(pd.GuardExceededError):
+            pd.deepest_point_exact(sims, max_grid_work=3 * pairs - 1)
+        with pytest.raises(pd.GuardExceededError):
+            pd.deepest_point_exact([S((0,), 1), S((1,), 1)], max_grid_work=3)
+
+    def test_guard_trips_before_expanding(self, monkeypatch):
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("expanded past the guard")
+
+        monkeypatch.setattr(np, "repeat", no_expansion)
+        sims = pd.random_homothets(200, 3, seed=1)
+        with pytest.raises(pd.GuardExceededError):
+            pd.deepest_point_exact(sims, max_grid_work=199)
 
     def test_depth_field_matches_rescan(self):
         for seed in range(10):
