@@ -51,6 +51,11 @@ EXACT_DEPTH_GUARD = 300_000_000
 # which bounds the query's peak memory (about 100 bytes per pair).
 _PAIR_BUDGET = 1 << 17
 
+# Grids with fewer cells use their mixed-radix prefix keys as row numbers
+# (stab codes below twice the cell count fit int64); larger grids rank the
+# keys densely at each expansion, which costs one more sort of the pairs.
+_DIRECT_KEY_CELLS = 1 << 61
+
 
 @dataclass(frozen=True)
 class SimplexHomothet:
@@ -385,15 +390,17 @@ class _GridSlicer:
     (the smallest admitted completion), first exceeds the cap.
 
     At stage ``k`` every (prefix row, homothet) pair is an interval of
-    keys ``row * m_k + position``.  Row numbers are mixed-radix prefix
-    keys, so key order is lexicographic grid order.  A stage before the
-    last expands each interval into one pair per key (``np.repeat``); the
-    keys become the next stage's row numbers, renumbered densely with
-    ``np.unique`` when the grid is too large for int64 codes.  The last
-    stage stabs all its intervals with one sort and ``cumsum``, closes
-    before opens at a key; the first maximum is the lexicographically
-    smallest deepest point.  Expansions of more than ``_PAIR_BUDGET``
-    pairs run one key window at a time, in key order.
+    keys ``row * m_k + position``.  Row numbers grow with the prefixes in
+    lexicographic order, so key order is lexicographic grid order.  A
+    stage before the last expands each interval into one pair per key
+    (``np.repeat``); the keys become the next stage's row numbers as they
+    are (mixed-radix prefix keys) while the grid has fewer than
+    ``_DIRECT_KEY_CELLS`` cells, and are ranked densely with ``np.unique``
+    on larger grids, where codes stay below the pair count times the axis
+    length.  The last stage stabs all its intervals with one sort and
+    ``cumsum``, closes before opens at a key; the first maximum is the
+    lexicographically smallest deepest point.  Expansions of more than
+    ``_PAIR_BUDGET`` pairs run one key window at a time, in key order.
     """
 
     def __init__(self, corners: np.ndarray, sizes: np.ndarray, max_work: int):
@@ -405,10 +412,7 @@ class _GridSlicer:
         self.pos = [np.searchsorted(ax, col) for ax, col in zip(self.axes, self.cols)]
         # Sum of the coordinates after axis k, for the estimate of `hi`.
         self.rest = [corners[:, k + 1 :].sum(axis=1) for k in range(self.d)]
-        # Row keys below R at stage k give stab codes below R * span[k].
-        self.span = [
-            2 * math.prod(ax.size for ax in self.axes[k:]) for k in range(self.d)
-        ]
+        self.rank_rows = math.prod(ax.size for ax in self.axes) >= _DIRECT_KEY_CELLS
         self.max_work = max_work
         self.work = 0
 
@@ -495,10 +499,8 @@ class _GridSlicer:
         keys = np.repeat(start - first, cnt) + np.arange(total)
         sim = np.repeat(sim, cnt)
         part = np.repeat(part, cnt) + self.axes[k][keys % self.axes[k].size]
-        # The keys are the next stage's row numbers; renumber them densely
-        # only where the stab codes could overflow int64.
         rows_of, row = None, keys
-        if (int(keys.max()) + 1) * self.span[k + 1] >= 2**62:
+        if self.rank_rows:
             rows_of, row = np.unique(keys, return_inverse=True)
         m = self.axes[k + 1].size
         row = row * m
@@ -585,11 +587,12 @@ def deepest_point_approx(
     Deterministic in ``seed``.  ``trace``, when given, receives one dict
     per round for diagnostics.
     """
-    corners, sizes = _as_arrays(simplices)
     if isinstance(simplices, SimplexArray):
         sims = simplices
     else:
-        sims = SimplexArray(corners, sizes)
+        sims = SimplexArray(*_as_arrays(simplices))
+    if not len(sims):
+        raise ValueError("need at least one simplex")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     n = len(sims)

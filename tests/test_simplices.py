@@ -239,9 +239,11 @@ class TestDeepestPointExact:
             assert (res.point, res.depth) == grid_scan_deepest(sims)
 
     def test_windowed_expansion_matches_grid_scan(self, monkeypatch):
-        # a tiny pair budget makes every expansion run in many key windows
+        # a tiny pair budget makes every expansion run in many key windows;
+        # a zero cell threshold ranks the row keys, as the largest grids do
         rng = np.random.default_rng(5)
-        for budget in (1, 3, 40):
+        for cells, budget in itertools.product((1 << 61, 0), (1, 3, 40, 1 << 17)):
+            monkeypatch.setattr(simplices, "_DIRECT_KEY_CELLS", cells)
             monkeypatch.setattr(simplices, "_PAIR_BUDGET", budget)
             for i in range(60):
                 d = (2, 3, 4)[i % 3]
@@ -291,17 +293,19 @@ class TestDeepestPointExact:
 
     def test_huge_grid_renumbers_rows(self):
         # 50000 distinct integers per axis in d=4: the grid has more cells
-        # than int64 codes, so the row numbers must be renumbered densely
+        # than int64 codes, so the row numbers must be renumbered densely;
+        # the deepest point has the largest x_0, whose mixed-radix codes
+        # would pass 2**63
         rng = np.random.default_rng(8)
         corners = np.stack(
             [rng.permutation(10**6)[:50_000] for _ in range(4)], axis=1
         ).astype(float)
         p = corners[7]
-        q = np.r_[-1.0, corners[11, 1:]]
-        corners = np.vstack([corners, p, p, q, q, q])
+        q = np.r_[corners[:, 0].max(), corners[11, 1:]]
+        corners = np.vstack([corners, p, p, q, q, q, q])
         sims = pd.SimplexArray(corners, np.zeros(len(corners)))
         res = pd.deepest_point_exact(sims)
-        assert res == pd.DepthResult(tuple(q), 3, True)
+        assert res == pd.DepthResult(tuple(q), 4, True)
 
     def test_guard_counts_pairs_and_stab_events(self):
         # d=2: one pair per admitted (x_0 value, homothet), then two stab
