@@ -59,28 +59,14 @@ from .simplices import (
     intersects,
     random_homothets,
 )
-from .sweep import (
-    Candidate,
-    Certificate,
-    Event,
-    SweepStats,
-    expiry_index,
-    make_certificate,
-    profit_at_event,
-    solve_exact_1d,
-    solve_exact_1d_with_stats,
-    sweep_events,
-)
+from .sweep import SweepStats, solve_exact_1d, solve_exact_1d_with_stats
 
 __all__ = [
     "ArrangementStats",
-    "Candidate",
-    "Certificate",
     "Customer",
     "DepthResult",
     "DimensionMismatchError",
     "EmptyMarketError",
-    "Event",
     "GuardExceededError",
     "IntersectionIndex",
     "LevelOutcome",
@@ -103,18 +89,15 @@ __all__ = [
     "depth_controlled_family",
     "element_uniqueness_instance",
     "evaluate",
-    "expiry_index",
     "intersects",
     "level_schedule",
     "lift_point",
-    "make_certificate",
     "market_to_csv",
     "market_to_json",
     "max_ppu",
     "parse_customers_csv",
     "parse_customers_json",
     "ppu",
-    "profit_at_event",
     "project_customers",
     "prune_dominated",
     "random_homothets",
@@ -123,6 +106,5 @@ __all__ = [
     "solve_approx_detailed",
     "solve_exact_1d",
     "solve_exact_1d_with_stats",
-    "sweep_events",
     "validate_pareto",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import max_ppu, solve_approx_detailed
+from .approx import DEPTH_MODES, max_ppu, solve_approx_detailed
 from .errors import GuardExceededError, MarketFormatError
 from .market import (
     Market,
@@ -93,8 +93,6 @@ def run(config: RunConfig) -> dict:
     if config.algorithm == "approx":
         if config.epsilon is None:
             raise ValueError("--epsilon is required for the approx algorithm")
-        if not 0.0 < config.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {config.epsilon}")
     elif config.epsilon is not None:
         raise ValueError(f"--epsilon only applies to approx, not {config.algorithm}")
 
@@ -260,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="market file (CSV or JSON)")
     solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     solve.add_argument("--epsilon", type=float, default=None)
-    solve.add_argument(
-        "--depth-mode", choices=("exact", "monte_carlo"), default="exact"
-    )
+    solve.add_argument("--depth-mode", choices=DEPTH_MODES, default="exact")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
         "--prune", action="store_true", help="drop dominated customers with a warning"

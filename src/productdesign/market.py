@@ -113,6 +113,25 @@ class ProfitReport:
 NO_PROFITABLE_PRODUCT = ProfitReport(None, 0.0, 0, 0.0)
 
 
+def _customer_arrays(
+    customers: Iterable[Customer], empty_message: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Price vector and ``(n, d)`` quality matrix of a nonempty customer list
+    of one dimension; ``empty_message`` is the error for an empty list."""
+    cs = list(customers)
+    if not cs:
+        raise EmptyMarketError(empty_message)
+    dim = cs[0].dim
+    for i, c in enumerate(cs):
+        if c.dim != dim:
+            raise DimensionMismatchError(
+                f"customer {i} has {c.dim} qualities, expected {dim}"
+            )
+    prices = np.array([c.price for c in cs], dtype=float)
+    qualities = np.array([c.qualities for c in cs], dtype=float)
+    return prices, qualities
+
+
 class Market:
     """An ordered, Pareto-consistent set of customers with a fixed dimension.
 
@@ -125,17 +144,9 @@ class Market:
     __slots__ = ("_prices", "_qualities")
 
     def __init__(self, customers: Iterable[Customer], *, validate: bool = True):
-        cs = list(customers)
-        if not cs:
-            raise EmptyMarketError("a market needs at least one customer")
-        dim = cs[0].dim
-        for i, c in enumerate(cs):
-            if c.dim != dim:
-                raise DimensionMismatchError(
-                    f"customer {i} has {c.dim} qualities, expected {dim}"
-                )
-        prices = np.array([c.price for c in cs], dtype=float)
-        qualities = np.array([c.qualities for c in cs], dtype=float)
+        prices, qualities = _customer_arrays(
+            customers, "a market needs at least one customer"
+        )
         self._init_arrays(prices, qualities, validate)
 
     @classmethod
@@ -225,55 +236,58 @@ class Market:
 # ---------------------------------------------------------------------------
 
 
+def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable price order, and per sorted row whether some strictly cheaper
+    customer demands strictly more (one quality axis ``q``)."""
+    order = np.argsort(prices, kind="stable")
+    ps, qs = prices[order], q[order]
+    new_group = np.r_[True, ps[1:] != ps[:-1]]
+    starts = np.flatnonzero(new_group)
+    group_max = np.maximum.reduceat(qs, starts)
+    # max requirement among strictly cheaper customers, per price group
+    prev_max = np.r_[-np.inf, np.maximum.accumulate(group_max)[:-1]]
+    gid = np.cumsum(new_group) - 1
+    return order, qs < prev_max[gid]
+
+
+def _dominators(prices: np.ndarray, qualities: np.ndarray, a: int) -> np.ndarray:
+    """Mask of the customers strictly cheaper and strictly stricter than ``a``."""
+    dom = prices < prices[a]
+    for k in range(qualities.shape[1]):
+        dom &= qualities[:, k] > qualities[a, k]
+    return dom
+
+
 def _pareto_witness(
     prices: np.ndarray, qualities: np.ndarray
 ) -> tuple[int, int] | None:
-    """One (dominated, dominating) index pair, or None if the set is valid."""
-    n = prices.shape[0]
-    if n < 2:
-        return None
+    """One (dominated, dominating) index pair, or None if the set is valid.
+
+    For ``d == 1`` the dominated customer is the cheapest one flagged;
+    otherwise it is the lowest flagged index.  Its dominator is the lowest
+    index dominating it.
+    """
     if qualities.shape[1] == 1:
-        q = qualities[:, 0]
-        order = np.argsort(prices, kind="stable")
-        ps, qs = prices[order], q[order]
-        new_group = np.r_[True, ps[1:] != ps[:-1]]
-        starts = np.flatnonzero(new_group)
-        group_max = np.maximum.reduceat(qs, starts)
-        # max requirement among strictly cheaper customers, per price group
-        prev_max = np.r_[-np.inf, np.maximum.accumulate(group_max)[:-1]]
-        gid = np.cumsum(new_group) - 1
-        bad = qs < prev_max[gid]
-        if not bad.any():
+        order, flags = _dominated_1d(prices, qualities[:, 0])
+        if not flags.any():
             return None
-        dominated = int(order[np.flatnonzero(bad)[0]])
-        mask = (prices < prices[dominated]) & (q > q[dominated])
-        return dominated, int(np.flatnonzero(mask)[0])
-    mask = _dominated_mask(prices, qualities)
-    if not mask.any():
-        return None
-    dominated = int(np.flatnonzero(mask)[0])
-    dom = prices < prices[dominated]
-    for k in range(qualities.shape[1]):
-        dom &= qualities[:, k] > qualities[dominated, k]
-    return dominated, int(np.flatnonzero(dom)[0])
+        dominated = int(order[np.argmax(flags)])
+    else:
+        mask = _dominated_mask(prices, qualities)
+        if not mask.any():
+            return None
+        dominated = int(np.argmax(mask))
+    return dominated, int(np.argmax(_dominators(prices, qualities, dominated)))
 
 
 def _dominated_mask(prices: np.ndarray, qualities: np.ndarray) -> np.ndarray:
     """Boolean mask of customers dominated by some other customer."""
     n = prices.shape[0]
-    if qualities.shape[1] == 1:
-        q = qualities[:, 0]
-        order = np.argsort(prices, kind="stable")
-        ps, qs = prices[order], q[order]
-        new_group = np.r_[True, ps[1:] != ps[:-1]]
-        starts = np.flatnonzero(new_group)
-        group_max = np.maximum.reduceat(qs, starts)
-        prev_max = np.r_[-np.inf, np.maximum.accumulate(group_max)[:-1]]
-        gid = np.cumsum(new_group) - 1
-        mask = np.zeros(n, dtype=bool)
-        mask[order] = qs < prev_max[gid]
-        return mask
     mask = np.zeros(n, dtype=bool)
+    if qualities.shape[1] == 1:
+        order, flags = _dominated_1d(prices, qualities[:, 0])
+        mask[order] = flags
+        return mask
     cols = [np.ascontiguousarray(qualities[:, k]) for k in range(qualities.shape[1])]
     chunk = max(1, 2_000_000 // max(1, n))
     for lo in range(0, n, chunk):
@@ -291,25 +305,15 @@ def validate_pareto(customers: Iterable[Customer]) -> list[tuple[int, int]]:
 
     Pair ``(i, j)`` is reported when customer ``j`` demands strictly more in
     every quality than customer ``i`` while paying strictly less, which makes
-    customer ``i`` redundant in a saturated market.  Quadratic in ``n``.
+    customer ``i`` redundant in a saturated market.  Pairs come in order of
+    ``i``, then ``j``.  One pass over the market per dominated customer.
     """
-    cs = list(customers)
-    if not cs:
-        raise EmptyMarketError("cannot validate an empty customer list")
-    dim = cs[0].dim
-    for i, c in enumerate(cs):
-        if c.dim != dim:
-            raise DimensionMismatchError(
-                f"customer {i} has {c.dim} qualities, expected {dim}"
-            )
-    prices = np.array([c.price for c in cs], dtype=float)
-    qualities = np.array([c.qualities for c in cs], dtype=float)
-    cols = [np.ascontiguousarray(qualities[:, k]) for k in range(dim)]
+    prices, qualities = _customer_arrays(
+        customers, "cannot validate an empty customer list"
+    )
     pairs: list[tuple[int, int]] = []
-    for a in range(len(cs)):
-        dominating = prices < prices[a]
-        for col in cols:
-            dominating &= col > col[a]
+    for a in np.flatnonzero(_dominated_mask(prices, qualities)).tolist():
+        dominating = _dominators(prices, qualities, a)
         pairs.extend((a, int(b)) for b in np.flatnonzero(dominating))
     return pairs
 
@@ -320,11 +324,9 @@ def prune_dominated(customers: Iterable[Customer]) -> Market:
     Survivors cannot dominate each other (domination is transitive and
     irreflexive), so the result always validates.
     """
-    cs = list(customers)
-    if not cs:
-        raise EmptyMarketError("cannot prune an empty customer list")
-    prices = np.array([c.price for c in cs], dtype=float)
-    qualities = np.array([c.qualities for c in cs], dtype=float)
+    prices, qualities = _customer_arrays(
+        customers, "cannot prune an empty customer list"
+    )
     keep = ~_dominated_mask(prices, qualities)
     if not keep.any():
         raise EmptyMarketError("pruning removed every customer")

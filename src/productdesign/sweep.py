@@ -29,55 +29,17 @@ single numpy pass, so a solve is ``ceil(log2(n + 1))`` vectorized passes
 of at most ``n + columns`` entries each: O(n log n) overall.
 
 The chosen (price, quality) is re-evaluated against the market with
-:func:`~productdesign.market.evaluate`.  :class:`Event`,
-:class:`Candidate`, :class:`Certificate` and the helpers around them
-describe the same events for the kinetic view of the sweep (a
-profit-ordered list of candidate qualities with adjacent-pair expiries);
-the solver does not use them.
+:func:`~productdesign.market.evaluate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .market import NO_PROFITABLE_PRODUCT, Market, Product, ProfitReport, evaluate
-
-
-@dataclass(frozen=True)
-class Event:
-    """One sweep stop: the ``index``-th most expensive customer (1-based)."""
-
-    index: int
-    price: float
-    quality: float
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A quality in the sweep list and the event at which it entered."""
-
-    quality: float
-    birth: int
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Scheduled expiry of an adjacent candidate pair.
-
-    Valid while the two candidates stay adjacent and alive; ``expiry`` is
-    the first event index at which the right candidate's profit reaches
-    the left one's, or ``n + 1`` if that never happens.  ``generation``
-    tags the adjacency version so stale entries can be skipped.
-    """
-
-    left: Candidate
-    right: Candidate
-    expiry: int
-    generation: int = 0
 
 
 @dataclass
@@ -86,95 +48,16 @@ class SweepStats:
 
     ``appended`` counts the distinct qualities (the matrix columns) and
     ``duplicate_skips`` the events that repeat an earlier quality;
-    ``entries`` counts the matrix entries the search evaluated.  The
-    kinetic-list counters (``deletions`` through ``peak_list_length``)
-    describe the expiring-pair sweep, which the monotone search does not
-    run; they are always 0.
+    ``entries`` counts the matrix entries the search evaluated.
+    ``certificate_pushes`` is always 0; it is kept only because the
+    benchmark in ``perfbench/`` reads it.
     """
 
     events: int = 0
     appended: int = 0
     duplicate_skips: int = 0
     entries: int = 0
-    deletions: int = 0
     certificate_pushes: int = 0
-    certificate_pops: int = 0
-    stale_pops: int = 0
-    peak_list_length: int = 0
-
-
-def sweep_events(market: Market) -> list[Event]:
-    """The market's events in sweep order: price descending, quality descending."""
-    if market.dim != 1:
-        raise DimensionMismatchError("the sweep solver handles dim=1 markets only")
-    p = market.prices
-    q = market.qualities[:, 0]
-    order = np.lexsort((-q, -p))
-    return [Event(i + 1, float(p[j]), float(q[j])) for i, j in enumerate(order)]
-
-
-def profit_at_event(candidate: Candidate, event: Event) -> float:
-    """Profit of quality ``candidate.quality`` priced at this event.
-
-    With nonincreasing event qualities, the considering customers are
-    exactly the events from the candidate's birth through ``event``, so
-    the count is ``event.index - candidate.birth + 1``.
-    """
-    if event.index < candidate.birth:
-        raise ValueError(
-            f"event {event.index} precedes the candidate's birth {candidate.birth}"
-        )
-    return (event.price - candidate.quality) * (event.index - candidate.birth + 1)
-
-
-def expiry_index(
-    left: Candidate, right: Candidate, events: Sequence[Event], start: int
-) -> int:
-    """First event index after ``start`` at which ``right`` catches ``left``.
-
-    Requires ``left.quality > right.quality`` and the pair's profits to be
-    strictly ordered at ``start``; a violated profit order is a logic
-    fault and raises ``AssertionError``.  Returns ``len(events) + 1`` when
-    the order holds through the final event.  The profit difference is
-    strictly decreasing in the event index (prices fall while the
-    lower-quality candidate's relative count grows), so the first flip is
-    found by binary search.
-    """
-    n = len(events)
-    if not left.quality > right.quality:
-        raise ValueError("left candidate must have the strictly larger quality")
-    if start < max(left.birth, right.birth) or start > n:
-        raise ValueError(f"start index {start} out of range for this pair")
-    if profit_at_event(left, events[start - 1]) <= profit_at_event(
-        right, events[start - 1]
-    ):
-        raise AssertionError("pair profit order already flipped at the current event")
-    if start == n or profit_at_event(left, events[n - 1]) > profit_at_event(
-        right, events[n - 1]
-    ):
-        return n + 1
-    lo, hi = start + 1, n  # earliest event with flipped order lies in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if profit_at_event(left, events[mid - 1]) <= profit_at_event(
-            right, events[mid - 1]
-        ):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def make_certificate(
-    left: Candidate,
-    right: Candidate,
-    events: Sequence[Event],
-    start: int,
-    generation: int = 0,
-) -> Certificate:
-    return Certificate(
-        left, right, expiry_index(left, right, events, start), generation
-    )
 
 
 def solve_exact_1d(market: Market, *, check_invariants: bool = False) -> ProfitReport:

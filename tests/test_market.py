@@ -150,6 +150,15 @@ class TestPrune:
         m = pd.prune_dominated(customers_of((1, [0])))
         assert m.customers == (pd.Customer(1, (0,)),)
 
+    def test_mixed_dimensions_rejected(self):
+        cs = [pd.Customer(3, (1,)), pd.Customer(5, (1, 2))]
+        with pytest.raises(pd.DimensionMismatchError, match="customer 1"):
+            pd.prune_dominated(cs)
+
+    def test_empty_rejected(self):
+        with pytest.raises(pd.EmptyMarketError, match="prune"):
+            pd.prune_dominated([])
+
     def test_result_always_validates(self):
         rng = np.random.default_rng(4)
         for _ in range(30):

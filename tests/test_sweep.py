@@ -4,115 +4,41 @@ import numpy as np
 import pytest
 
 import productdesign as pd
-from productdesign.sweep import Candidate, Event
 
 from conftest import market_of
 
 
-def events_from_prices(prices, qualities):
-    return [
-        Event(i + 1, float(p), float(q))
-        for i, (p, q) in enumerate(zip(prices, qualities))
-    ]
+def direct_scan_report(market):
+    """Independent reference for the 1-D solver's report.
+
+    Events in price-descending, quality-descending order; every event pair
+    j <= t is scanned as (p_t - q_j) * (t - j + 1).  The reported product
+    is the first row attaining the maximum, at that row's rightmost
+    maximizing event, re-evaluated against the market.
+    """
+    q = market.qualities[:, 0]
+    order = np.lexsort((-q, -market.prices))
+    p, q = market.prices[order], q[order]
+    best, at = 0.0, None
+    for t in range(p.size):
+        row = (p[t] - q[: t + 1]) * np.arange(t + 1, 0, -1)
+        top = float(row.max())
+        if top > best:
+            best, at = top, (t, t - int(np.argmax(row[::-1])))
+    if at is None:
+        return pd.NO_PROFITABLE_PRODUCT, best
+    t, j = at
+    return pd.evaluate(market, pd.Product(float(p[t]), (float(q[j]),))), best
 
 
-class TestProfitAtEvent:
-    def test_count_spans_birth_through_event(self):
-        ev = events_from_prices([10, 8, 6], [5, 5, 5])
-        assert pd.profit_at_event(Candidate(5.0, 1), ev[2]) == 3.0
-
-    def test_zero_margin_at_birth(self):
-        ev = Event(4, 7.0, 7.0)
-        assert pd.profit_at_event(Candidate(7.0, 4), ev) == 0.0
-
-    def test_single_buyer_at_birth(self):
-        ev = events_from_prices([9, 7, 5], [3, 1, 0])
-        assert pd.profit_at_event(Candidate(1.0, 2), ev[1]) == 6.0
-
-    def test_event_before_birth_rejected(self):
-        with pytest.raises(ValueError):
-            pd.profit_at_event(Candidate(1.0, 3), Event(2, 9.0, 1.0))
-
-
-class TestExpiryIndex:
-    def test_never_crossing_returns_sentinel(self):
-        ev = events_from_prices([10, 9, 8], [2, 1, 0])
-        left, right = Candidate(2.0, 1), Candidate(0.0, 2)
-        # left stays ahead: (8-2)*3=18 > (8-0)*2=16 at the final event
-        assert pd.expiry_index(left, right, ev, 2) == 4
-
-    def test_flip_strictly_inside(self):
-        ev = events_from_prices([10, 9, 8, 1], [8, 2, 1, 0])
-        left, right = Candidate(2.0, 1), Candidate(0.0, 2)
-        # profits (left, right): t=2 -> 14, 9; t=3 -> 18, 16; t=4 -> -4, 3
-        assert pd.expiry_index(left, right, ev, 2) == 4
-
-    def test_equality_counts_as_flip(self):
-        ev = events_from_prices([10, 9, 8], [4, 2, 1])
-        left, right = Candidate(4.0, 1), Candidate(2.0, 2)
-        # at t=3 both profits equal 12; non-strict comparison flips
-        assert pd.expiry_index(left, right, ev, 2) == 3
-
-    def test_flipped_precondition_is_a_logic_fault(self):
-        ev = events_from_prices([10, 9, 1], [8, 0, 0])
-        left, right = Candidate(8.0, 1), Candidate(0.0, 2)
-        with pytest.raises(AssertionError):
-            pd.expiry_index(left, right, ev, 2)
-
-    def test_quality_order_validated(self):
-        ev = events_from_prices([10, 9], [1, 2])
-        with pytest.raises(ValueError):
-            pd.expiry_index(Candidate(1.0, 1), Candidate(2.0, 2), ev, 2)
-
-    def test_matches_linear_scan_oracle(self):
-        rng = np.random.default_rng(17)
-        checked = 0
-        for _ in range(300):
-            n = int(rng.integers(3, 40))
-            prices = np.sort(rng.integers(0, 60, n))[::-1].astype(float)
-            ev = events_from_prices(prices, np.zeros(n))
-            b_left = int(rng.integers(1, n))
-            b_right = int(rng.integers(b_left + 1, n + 1))
-            q_right = float(rng.integers(0, 20))
-            q_left = q_right + float(rng.integers(1, 10))
-            left, right = Candidate(q_left, b_left), Candidate(q_right, b_right)
-            start = b_right
-            if pd.profit_at_event(left, ev[start - 1]) <= pd.profit_at_event(
-                right, ev[start - 1]
-            ):
-                continue
-            checked += 1
-            expected = n + 1
-            for t in range(start + 1, n + 1):
-                if pd.profit_at_event(left, ev[t - 1]) <= pd.profit_at_event(
-                    right, ev[t - 1]
-                ):
-                    expected = t
-                    break
-            assert pd.expiry_index(left, right, ev, start) == expected
-        assert checked > 100
-
-    def test_make_certificate_carries_expiry(self):
-        ev = events_from_prices([10, 9, 8], [4, 2, 1])
-        cert = pd.make_certificate(Candidate(4.0, 1), Candidate(2.0, 2), ev, 2)
-        assert cert.expiry == 3 and cert.generation == 0
-
-
-class TestSweepEvents:
-    def test_order_price_desc_then_quality_desc(self):
-        m = market_of((5, [1]), (7, [4]), (5, [2]), (7, [2]))
-        ev = pd.sweep_events(m)
-        assert [(e.price, e.quality) for e in ev] == [
-            (7.0, 4.0),
-            (7.0, 2.0),
-            (5.0, 2.0),
-            (5.0, 1.0),
-        ]
-        assert [e.index for e in ev] == [1, 2, 3, 4]
-
-    def test_rejects_multidimensional(self):
-        with pytest.raises(pd.DimensionMismatchError):
-            pd.sweep_events(pd.random_pareto_market(4, 2, seed=0))
+def tie_heavy_market(rng):
+    """Small integer market with many ties and negative margins, pruned."""
+    n = int(rng.integers(1, 41))
+    q = rng.integers(0, 6, n)
+    p = q + rng.integers(-2, 6, n)
+    return pd.prune_dominated(
+        [pd.Customer(float(pp), (float(qq),)) for pp, qq in zip(p, q)]
+    )
 
 
 class TestSolveExact1d:
@@ -164,8 +90,6 @@ class TestSolveExact1d:
             assert got == pd.brute_force_optimum(m).profit, f"seed {seed}"
 
     def test_matches_direct_event_scan(self):
-        # independent reference: best over events t and event qualities
-        # j <= t of (p_t - q_j) * (t - j + 1)
         markets = [
             pd.random_pareto_market(150, 1, seed=seed, value_range=(0, 2000))
             for seed in range(15)
@@ -180,15 +104,15 @@ class TestSolveExact1d:
         q = np.sort(rng.uniform(0.0, 50.0, 400))
         p = q + np.cumsum(rng.uniform(0.0, 0.5, 400))
         markets.append(pd.Market.from_arrays(p, q))
-        for m in markets:
-            ev = pd.sweep_events(m)
-            prices = np.array([e.price for e in ev])
-            quals = np.array([e.quality for e in ev])
-            best = 0.0
-            for t in range(1, len(ev) + 1):
-                counts = t - np.arange(1, t + 1) + 1
-                best = max(best, float(np.max((prices[t - 1] - quals[:t]) * counts)))
-            assert pd.solve_exact_1d(m).profit == best
+        # equal prices, equal qualities and negative margins: these pin the
+        # event order (price, then quality, descending) and the first-row,
+        # rightmost-column tie-break
+        rng = np.random.default_rng(4)
+        markets += [tie_heavy_market(rng) for _ in range(400)]
+        for i, m in enumerate(markets):
+            expected, best = direct_scan_report(m)
+            rep = pd.solve_exact_1d(m)
+            assert rep == expected and rep.profit == best, f"market {i}"
 
     def test_report_is_reevaluated(self):
         m = pd.random_pareto_market(80, 1, seed=12)
