@@ -41,6 +41,32 @@ def tie_heavy_market(rng):
     )
 
 
+class TestSweepEvents:
+    """The solver's event order: price descending, then quality descending.
+
+    Among equal-profit products the report is the first row (highest
+    price) at its rightmost column (lowest quality), so ties show the order.
+    """
+
+    def test_order_price_desc_then_quality_desc(self):
+        # equal profit 4 at prices 4 and 2: the higher-priced event comes first
+        rep = pd.solve_exact_1d(market_of((2, [0]), (4, [0])))
+        assert rep.product == pd.Product(4, (0,)) and rep.profit == 4.0
+        # equal price 6, equal profit 4 at qualities 4 and 2: the
+        # lower-quality event comes later, so it is the rightmost column
+        rep = pd.solve_exact_1d(market_of((6, [2]), (6, [4])))
+        assert rep.product == pd.Product(6, (2,)) and rep.profit == 4.0
+        m = market_of((5, [1]), (7, [4]), (5, [2]), (7, [2]))
+        rep, stats = pd.solve_exact_1d_with_stats(m)
+        assert rep.product == pd.Product(5, (2,)) and rep.profit == 9.0
+        # events (7,4), (7,2), (5,2), (5,1): quality 2 repeats once
+        assert (stats.events, stats.appended, stats.duplicate_skips) == (4, 3, 1)
+
+    def test_rejects_multidimensional(self):
+        with pytest.raises(pd.DimensionMismatchError):
+            pd.solve_exact_1d_with_stats(pd.random_pareto_market(4, 2, seed=0))
+
+
 class TestSolveExact1d:
     def test_single_customer(self):
         rep = pd.solve_exact_1d(market_of((2, [1])))
