@@ -52,7 +52,6 @@ from .simplices import (
     SimplexHomothet,
     arrangement_stats,
     contains,
-    deepest_point_approx,
     deepest_point_exact,
     depth_at,
     depth_controlled_family,
@@ -83,7 +82,6 @@ __all__ = [
     "arrangement_stats",
     "brute_force_optimum",
     "contains",
-    "deepest_point_approx",
     "deepest_point_exact",
     "depth_at",
     "depth_controlled_family",

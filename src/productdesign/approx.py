@@ -14,10 +14,15 @@ customer margin ``r`` scaled by powers of ``1 - eps`` down to roughly
 ``r / n`` — costs at most a ``1 - eps`` factor: an optimal product can be
 slid down to the nearest ladder margin without losing any buyer, and a
 product below the ladder floor earns at most what the best single
-customer already pays.  The driver splits the requested tolerance evenly
-(in the multiplicative sense) between the ladder and the depth query, so
-exact depth gives a deterministic guarantee with room to spare and
-sampled depth composes to the full ``1 - eps``.
+customer already pays.  Each level's deepest point is found exactly, so
+the guarantee is deterministic.
+
+The ladder is built with the tolerance ``1 - sqrt(1 - eps)``, half of the
+budget in the multiplicative sense, and exact depth spends none of the
+other half, so the guarantee holds with room to spare.  Giving the ladder
+all of ``eps`` would search fewer levels, but it would change every
+reported product, profit and level list, so the split is kept until a
+change that measures its effect on profit makes that switch.
 """
 
 from __future__ import annotations
@@ -35,14 +40,7 @@ from .market import (
     ProfitReport,
     evaluate,
 )
-from .simplices import (
-    SimplexArray,
-    SimplexHomothet,
-    deepest_point_approx,
-    deepest_point_exact,
-)
-
-DEPTH_MODES = ("exact", "monte_carlo")
+from .simplices import SimplexArray, SimplexHomothet, deepest_point_exact
 
 
 @dataclass(frozen=True)
@@ -120,42 +118,30 @@ def lift_point(x: Iterable[float], c: float) -> Product:
     return Product(c + sum(qs), qs)
 
 
-def solve_approx(
-    market: Market,
-    epsilon: float,
-    depth_mode: str = "exact",
-    seed: int = 0,
-) -> ProfitReport:
+def solve_approx(market: Market, epsilon: float) -> ProfitReport:
     """Product whose true profit is at least ``(1 - epsilon)`` of optimal.
 
-    With ``depth_mode="exact"`` the bound holds deterministically; with
-    ``"monte_carlo"`` it holds with high probability per seed.  The depth
-    query verifies candidate points before returning and the chosen
-    product is re-evaluated against the market, so the reported profit is
-    always the returned product's true profit.  Markets whose best
-    customer margin is nonpositive yield the no-profit report.
+    The bound holds deterministically.  The chosen product is
+    re-evaluated against the market, so the reported profit is always the
+    returned product's true profit.  Markets whose best customer margin is
+    nonpositive yield the no-profit report.
     """
-    report, _ = solve_approx_detailed(market, epsilon, depth_mode, seed)
+    report, _ = solve_approx_detailed(market, epsilon)
     return report
 
 
 def solve_approx_detailed(
-    market: Market,
-    epsilon: float,
-    depth_mode: str = "exact",
-    seed: int = 0,
+    market: Market, epsilon: float
 ) -> tuple[ProfitReport, list[LevelOutcome]]:
     """As :func:`solve_approx`, also returning per-level diagnostics."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if depth_mode not in DEPTH_MODES:
-        raise ValueError(f"depth_mode must be one of {DEPTH_MODES}, got {depth_mode!r}")
     r = max_ppu(market)
     if r <= 0:
         return NO_PROFITABLE_PRODUCT, []
 
-    # Split the tolerance evenly between the margin ladder and the depth
-    # query: (1 - part)**2 == 1 - epsilon.
+    # The ladder takes half of the tolerance, multiplicatively (see the
+    # module notes): (1 - part)**2 == 1 - epsilon.
     part = 1.0 - math.sqrt(1.0 - epsilon)
     schedule = level_schedule(r, part, len(market))
 
@@ -167,17 +153,11 @@ def solve_approx_detailed(
     best = evaluate(market, lift_point(market.qualities[top], r))
     outcomes: list[LevelOutcome] = []
 
-    level_seeds = np.random.SeedSequence(seed % 2**63).spawn(len(schedule.levels))
     for i, c in enumerate(schedule.levels):
         sims, _ = _projection(market, c)
         if not sims:
             continue
-        if depth_mode == "exact":
-            found = deepest_point_exact(sims)
-        else:
-            found = deepest_point_approx(
-                sims, part, int(level_seeds[i].generate_state(1)[0])
-            )
+        found = deepest_point_exact(sims)
         product = lift_point(found.point, c)
         report = evaluate(market, product)
         outcomes.append(

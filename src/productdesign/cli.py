@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import DEPTH_MODES, max_ppu, solve_approx_detailed
+from .approx import max_ppu, solve_approx_detailed
 from .errors import GuardExceededError, MarketFormatError
 from .market import (
     Market,
@@ -33,7 +33,7 @@ from .market import (
 from .simplices import arrangement_stats, depth_controlled_family
 from .sweep import solve_exact_1d_with_stats
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 
 
@@ -44,8 +44,6 @@ class RunConfig:
     input: str
     algorithm: str
     epsilon: float | None = None
-    depth_mode: str = "exact"
-    seed: int = 0
     prune: bool = False
     output: str | None = None
 
@@ -106,11 +104,8 @@ def run(config: RunConfig) -> dict:
             "entries": stats.entries,
         }
     elif config.algorithm == "approx":
-        report, levels = solve_approx_detailed(
-            market, config.epsilon, config.depth_mode, config.seed
-        )
+        report, levels = solve_approx_detailed(market, config.epsilon)
         diagnostics = {
-            "depth_mode": config.depth_mode,
             "levels": [
                 {
                     "index": lv.index,
@@ -141,8 +136,6 @@ def run(config: RunConfig) -> dict:
             "input": config.input,
             "algorithm": config.algorithm,
             "epsilon": config.epsilon,
-            "depth_mode": config.depth_mode if config.algorithm == "approx" else None,
-            "seed": config.seed,
             "prune": config.prune,
         },
         "market": {
@@ -170,8 +163,6 @@ def _cmd_solve(args) -> int:
         input=args.input,
         algorithm=args.algorithm,
         epsilon=args.epsilon,
-        depth_mode=args.depth_mode,
-        seed=args.seed,
         prune=args.prune,
         output=args.output,
     )
@@ -204,7 +195,10 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
         rows = []
         for n in sizes:
-            market = random_pareto_market(n, 1, seed=args.seed)
+            # the distribution criterion 8 times: nearly every quality distinct
+            market = random_pareto_market(
+                n, 1, seed=args.seed, value_range=(0, 20 * n)
+            )
             start = time.perf_counter()
             report, stats = solve_exact_1d_with_stats(market)
             ms = (time.perf_counter() - start) * 1000.0
@@ -258,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="market file (CSV or JSON)")
     solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     solve.add_argument("--epsilon", type=float, default=None)
-    solve.add_argument("--depth-mode", choices=DEPTH_MODES, default="exact")
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
         "--prune", action="store_true", help="drop dominated customers with a warning"
     )

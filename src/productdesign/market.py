@@ -165,7 +165,7 @@ class Market:
             q = q.reshape(-1, 1)
         if p.size == 0:
             raise EmptyMarketError("a market needs at least one customer")
-        if q.shape[0] != p.size or q.ndim != 2 or q.shape[1] < 1:
+        if q.ndim != 2 or q.shape[0] != p.size or q.shape[1] < 1:
             raise DimensionMismatchError(
                 f"qualities shape {q.shape} does not match {p.size} prices"
             )
@@ -377,7 +377,7 @@ def brute_force_optimum(
     prices = np.unique(market.prices)
     axes = [np.unique(market.qualities[:, k]) for k in range(d)]
     shape = (prices.size, *(a.size for a in axes))
-    cells = int(np.prod([int(s) for s in shape], dtype=np.int64))
+    cells = math.prod(shape)
     if cells > max_candidates:
         raise GuardExceededError(
             f"candidate grid has {cells} cells, above the {max_candidates} guard"

@@ -362,18 +362,16 @@ def arrangement_stats(
 
 
 # ---------------------------------------------------------------------------
-# Deepest point, exact and sampled
+# Exact deepest point
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DepthResult:
-    """A point, the number of input simplices containing it, and whether
-    the search for it was exhaustive."""
+    """A point and the number of input simplices containing it."""
 
     point: tuple[float, ...]
     depth: int
-    exact: bool
 
 
 class _GridSlicer:
@@ -552,86 +550,7 @@ def deepest_point_exact(
     slicer = _GridSlicer(corners, sizes, max_grid_work)
     depth, at = slicer.solve()
     point = tuple(float(slicer.axes[k][i]) for k, i in enumerate(at))
-    return DepthResult(point, depth, exact=True)
-
-
-def sample_probability(n: int, epsilon: float, depth_guess: float) -> float:
-    """Per-element sampling rate that keeps a depth-``depth_guess`` point
-    visible in the sample with high probability."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return min(1.0, 8.0 * math.log(n + 2) / (epsilon * epsilon * depth_guess))
-
-
-def deepest_point_approx(
-    simplices: Sequence[SimplexHomothet],
-    epsilon: float,
-    seed: int = 0,
-    *,
-    max_grid_work: int = EXACT_DEPTH_GUARD,
-    trace: list | None = None,
-) -> DepthResult:
-    """Sampled deepest point whose reported depth is its true, verified depth.
-
-    Walks a halving ladder of depth guesses starting at ``n``.  For each
-    guess, a few independent rounds sample every simplex with a rate
-    calibrated to the guess, solve the sample exhaustively, and check the
-    winning point against the full input; the best verified point is kept.
-    The ladder stops as soon as the best verified depth confirms the
-    current guess up to ``1 - epsilon``, and a guess whose rate reaches 1
-    is solved exactly.  Because candidate points are re-verified before
-    being returned, the reported depth is always the returned point's true
-    depth; four rounds per guess push the chance that it falls short of
-    ``(1 - epsilon)`` times the true maximum below roughly ``n**-2``.
-
-    Deterministic in ``seed``.  ``trace``, when given, receives one dict
-    per round for diagnostics.
-    """
-    if isinstance(simplices, SimplexArray):
-        sims = simplices
-    else:
-        sims = SimplexArray(*_as_arrays(simplices))
-    if not len(sims):
-        raise ValueError("need at least one simplex")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    n = len(sims)
-    seed_seq = np.random.SeedSequence(seed % 2**63)
-    best_point: tuple[float, ...] | None = None
-    best_depth = -1
-
-    def consider(point: tuple[float, ...], depth: int):
-        nonlocal best_point, best_depth
-        if depth > best_depth or (depth == best_depth and point < best_point):
-            best_point, best_depth = point, depth
-
-    guess = 1 << max(0, (n - 1).bit_length())
-    while guess >= 1:
-        rate = sample_probability(n, epsilon, guess)
-        rounds = 1 if rate >= 1.0 else 4
-        confirmed = False
-        for _ in range(rounds):
-            rng = np.random.default_rng(seed_seq.spawn(1)[0])
-            if rate >= 1.0:
-                sample = sims
-            else:
-                sample = sims[rng.random(n) < rate]
-            if trace is not None:
-                trace.append(
-                    {"guess": guess, "rate": rate, "sample_size": len(sample)}
-                )
-            if not sample:
-                continue
-            found = deepest_point_exact(sample, max_grid_work=max_grid_work)
-            consider(found.point, depth_at(sims, found.point))
-            if rate >= 1.0 or best_depth >= (1.0 - epsilon) * guess:
-                confirmed = True
-                break
-        if confirmed:
-            break
-        guess //= 2
-    assert best_point is not None
-    return DepthResult(best_point, best_depth, exact=False)
+    return DepthResult(point, depth)
 
 
 # ---------------------------------------------------------------------------

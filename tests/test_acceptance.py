@@ -91,25 +91,21 @@ def test_criterion_3_lower_price_monotonicity_fuzz():
 
 
 def test_criterion_4_approximation_guarantee_d2():
-    """eps=0.25, d=2: exact-depth and monte-carlo modes both clear
-    0.75 x optimum on every run."""
+    """eps=0.25, d=2: the approximation clears 0.75 x optimum on every
+    market."""
     started = time.perf_counter()
     rng = np.random.default_rng(42)
     worst = 1.0
-    for case in range(50):
+    for case in range(500):
         n = int(rng.integers(5, 51))
         market = pd.random_pareto_market(n, 2, seed=case, value_range=(0, 12))
         optimum = pd.brute_force_optimum(market).profit
-        exact = pd.solve_approx(market, 0.25, "exact").profit
-        assert exact >= 0.75 * optimum, f"case {case} exact mode"
-        worst = min(worst, exact / optimum)
-        for mc_seed in range(10):
-            sampled = pd.solve_approx(market, 0.25, "monte_carlo", seed=mc_seed).profit
-            assert sampled >= 0.75 * optimum, f"case {case} seed {mc_seed}"
-            worst = min(worst, sampled / optimum)
+        profit = pd.solve_approx(market, 0.25).profit
+        assert profit >= 0.75 * optimum, f"case {case}"
+        worst = min(worst, profit / optimum)
     elapsed = time.perf_counter() - started
     print(
-        f"[criterion 4] PASS — 50 markets x (1 exact + 10 sampled) runs, "
+        f"[criterion 4] PASS — 500 markets, "
         f"worst ratio {worst:.3f} >= 0.75, {elapsed:.2f}s"
     )
 
@@ -123,7 +119,7 @@ def test_criterion_5_approximation_guarantee_d3():
         n = int(rng.integers(4, 26))
         market = pd.random_pareto_market(n, 3, seed=case, value_range=(0, 8))
         optimum = pd.brute_force_optimum(market).profit
-        got = pd.solve_approx(market, 0.5, "exact").profit
+        got = pd.solve_approx(market, 0.5).profit
         assert got >= 0.5 * optimum, f"case {case}"
         worst = min(worst, got / optimum)
     elapsed = time.perf_counter() - started

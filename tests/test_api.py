@@ -1,7 +1,10 @@
+import argparse
+import inspect
 import types
 
 import productdesign as pd
-from productdesign import sweep
+from productdesign import simplices, sweep
+from productdesign.cli import RunConfig, build_parser
 
 
 def test_every_exported_name_resolves():
@@ -46,4 +49,60 @@ def test_sweep_stats_fields():
         "duplicate_skips",
         "entries",
         "certificate_pushes",
+    ]
+
+
+def test_simplices_defines_only_the_exact_depth_toolkit():
+    # a public function or class added to the module fails here
+    defined = {
+        name
+        for name, obj in vars(simplices).items()
+        if not name.startswith("_")
+        and getattr(obj, "__module__", None) == simplices.__name__
+    }
+    assert defined == {
+        "ArrangementStats",
+        "DepthResult",
+        "IntersectionIndex",
+        "SimplexArray",
+        "SimplexHomothet",
+        "arrangement_stats",
+        "contains",
+        "deepest_point_exact",
+        "depth_at",
+        "depth_controlled_family",
+        "intersects",
+        "random_homothets",
+    }
+
+
+def test_solve_approx_takes_market_and_epsilon_only():
+    for fn in (pd.solve_approx, pd.solve_approx_detailed):
+        assert list(inspect.signature(fn).parameters) == ["market", "epsilon"]
+
+
+def test_depth_result_fields():
+    assert list(pd.DepthResult.__dataclass_fields__) == ["point", "depth"]
+
+
+def test_solve_command_options():
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = [a.option_strings for a in commands.choices["solve"]._actions]
+    assert options == [
+        ["-h", "--help"],
+        ["--input"],
+        ["--algorithm"],
+        ["--epsilon"],
+        ["--prune"],
+        ["--output"],
+    ]
+    assert list(RunConfig.__dataclass_fields__) == [
+        "input",
+        "algorithm",
+        "epsilon",
+        "prune",
+        "output",
     ]

@@ -141,8 +141,11 @@ class TestSolveApprox:
             pd.solve_approx(m, 1.5)
         with pytest.raises(ValueError):
             pd.solve_approx(m, 0.0)
-        with pytest.raises(ValueError):
-            pd.solve_approx(m, 0.5, depth_mode="bogus")
+        # a depth mode is no longer accepted
+        with pytest.raises(TypeError):
+            pd.solve_approx(m, 0.5, "exact")
+        with pytest.raises(TypeError):
+            pd.solve_approx_detailed(m, 0.5, "exact")
 
     def test_profit_is_reevaluation_of_product(self):
         for seed in range(8):
@@ -161,16 +164,6 @@ class TestSolveApprox:
             m = pd.random_pareto_market(18, 3, seed=seed, value_range=(0, 8))
             opt = pd.brute_force_optimum(m).profit
             assert pd.solve_approx(m, 0.5).profit >= 0.5 * opt
-
-    def test_monte_carlo_guarantee_and_determinism(self):
-        for seed in range(6):
-            m = pd.random_pareto_market(24, 2, seed=seed, value_range=(0, 10))
-            opt = pd.brute_force_optimum(m).profit
-            for run_seed in range(3):
-                a = pd.solve_approx(m, 0.25, "monte_carlo", seed=run_seed)
-                b = pd.solve_approx(m, 0.25, "monte_carlo", seed=run_seed)
-                assert a == b
-                assert a.profit >= 0.75 * opt
 
     def test_uniform_margin_market_is_solved_exactly(self):
         # every customer has margin 5; the top level alone carries the

@@ -75,7 +75,7 @@ class TestRun:
             "max_ppu": 2.0,
             "pruned_customers": 0,
         }
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["diagnostics"]["events"] == 2
         market, _ = load_market(two_customer_csv)
         _, stats = pd.solve_exact_1d_with_stats(market)
@@ -103,17 +103,21 @@ class TestRun:
         a.pop("timing_ms"), b.pop("timing_ms")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_monte_carlo_reports_deterministic_per_seed(self, tmp_path):
+    def test_approx_reports_are_deterministic_minus_timing(self, tmp_path):
         market = pd.random_pareto_market(25, 2, seed=2, value_range=(0, 10))
         path = tmp_path / "m.csv"
         path.write_text(pd.market_to_csv(market))
-        config = RunConfig(
-            input=str(path), algorithm="approx", epsilon=0.25,
-            depth_mode="monte_carlo", seed=4,
-        )
+        config = RunConfig(input=str(path), algorithm="approx", epsilon=0.25)
         a, b = run(config), run(config)
         a.pop("timing_ms"), b.pop("timing_ms")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert a["config"] == {
+            "input": str(path),
+            "algorithm": "approx",
+            "epsilon": 0.25,
+            "prune": False,
+        }
+        assert list(a["diagnostics"]) == ["levels"]
 
     def test_epsilon_required_for_approx(self, two_customer_csv):
         with pytest.raises(ValueError, match="epsilon"):
@@ -275,7 +279,13 @@ class TestBench:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert [r["n"] for r in payload["runs"]] == [500, 1000]
-        assert all(r["entries"] >= r["n"] for r in payload["runs"])
+        for r in payload["runs"]:
+            # criterion 8's distribution: qualities drawn from 0..20n
+            market = pd.random_pareto_market(
+                r["n"], 1, seed=0, value_range=(0, 20 * r["n"])
+            )
+            _, stats = pd.solve_exact_1d_with_stats(market)
+            assert r["entries"] == stats.entries
 
     def test_arrangement_bench_smoke(self, capsys):
         code = main(

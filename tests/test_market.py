@@ -54,6 +54,10 @@ class TestDomainTypes:
         a = pd.Market.from_arrays(np.array([3.0, 2.0]), np.array([[1.0], [0.0]]))
         assert a == market_of((3, [1]), (2, [0]))
 
+    def test_from_arrays_rejects_scalar_qualities(self):
+        with pytest.raises(pd.DimensionMismatchError, match="shape"):
+            pd.Market.from_arrays([1.0], 5.0)
+
 
 class TestPpu:
     def test_single_quality(self):
@@ -231,6 +235,18 @@ class TestBruteForceOptimum:
         m = pd.random_pareto_market(40, 2, seed=0)
         with pytest.raises(pd.GuardExceededError):
             pd.brute_force_optimum(m, max_candidates=10)
+
+    def test_size_guard_counts_past_int64(self):
+        # 8192**4 * 4096 == 2**64 cells: a 64-bit product wraps to 0
+        n = 8192
+        rows = np.arange(n, dtype=float)
+        m = pd.Market.from_arrays(
+            rows + 1.0,
+            np.stack([rows, rows, rows, rows // 2], axis=1),
+            validate=False,
+        )
+        with pytest.raises(pd.GuardExceededError, match="18446744073709551616 cells"):
+            pd.brute_force_optimum(m)
 
     def test_grid_candidates_never_beat_optimum(self):
         import itertools

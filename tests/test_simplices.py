@@ -5,7 +5,7 @@ import pytest
 
 import productdesign as pd
 from productdesign import simplices
-from productdesign.simplices import EXACT_DEPTH_GUARD, sample_probability
+from productdesign.simplices import EXACT_DEPTH_GUARD
 
 from conftest import grid_scan_deepest, vertex_oracle_depth
 
@@ -196,9 +196,6 @@ class TestSimplexArray:
         arr = pd.SimplexArray([s.corner for s in sims], [s.size for s in sims])
         assert pd.deepest_point_exact(arr) == pd.deepest_point_exact(sims)
         assert pd.depth_at(arr, (4.0, 4.0)) == pd.depth_at(sims, (4.0, 4.0))
-        assert pd.deepest_point_approx(arr, 0.3, seed=1) == pd.deepest_point_approx(
-            sims, 0.3, seed=1
-        )
         with pytest.raises(ValueError):
             pd.deepest_point_exact(arr[:0])
 
@@ -206,7 +203,7 @@ class TestSimplexArray:
 class TestDeepestPointExact:
     def test_single_simplex(self):
         res = pd.deepest_point_exact([S((0, 0), 1)])
-        assert res == pd.DepthResult((0.0, 0.0), 1, True)
+        assert res == pd.DepthResult((0.0, 0.0), 1)
 
     def test_three_triangles(self):
         res = pd.deepest_point_exact(
@@ -227,7 +224,7 @@ class TestDeepestPointExact:
         res = pd.deepest_point_exact(
             [S((0, 2, 0), 0), S((0, 2, 0), 0), S((0, 1, 5), 0), S((0, 1, 5), 0)]
         )
-        assert res == pd.DepthResult((0.0, 1.0, 5.0), 2, True)
+        assert res == pd.DepthResult((0.0, 1.0, 5.0), 2)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -257,7 +254,7 @@ class TestDeepestPointExact:
         # (1e16, 0) holds (1e16, 0.5) and (1e16, 1.0) under the grid's sum
         sims = [S((1e16, v), 0.0) for v in (0.0, 0.5, 1.0, 1.5)] + [S((0, 0), 1)]
         res = pd.deepest_point_exact(sims)
-        assert res == pd.DepthResult((1e16, 1.0), 3, True)
+        assert res == pd.DepthResult((1e16, 1.0), 3)
         assert (res.point, res.depth) == grid_scan_deepest(sims)
         rng = np.random.default_rng(9)
         values = [0.0, 1e-17, 3e-17, 1e-16, 0.1, 0.2, 0.3, 1.0, 1e16, 1e16 + 2]
@@ -305,7 +302,7 @@ class TestDeepestPointExact:
         corners = np.vstack([corners, p, p, q, q, q, q])
         sims = pd.SimplexArray(corners, np.zeros(len(corners)))
         res = pd.deepest_point_exact(sims)
-        assert res == pd.DepthResult(tuple(q), 4, True)
+        assert res == pd.DepthResult(tuple(q), 4)
 
     def test_guard_counts_pairs_and_stab_events(self):
         # d=2: one pair per admitted (x_0 value, homothet), then two stab
@@ -350,55 +347,6 @@ class TestDeepestPointExact:
         sims = [S((0,), 2), S((1,), 2), S((5,), 1)]
         res = pd.deepest_point_exact(sims)
         assert res.point == (1.0,) and res.depth == 2
-
-
-class TestDeepestPointApprox:
-    def test_single_simplex(self):
-        res = pd.deepest_point_approx([S((4, 4), 1)], 0.5, seed=0)
-        assert res.point == (4.0, 4.0) and res.depth == 1 and not res.exact
-
-    def test_three_triangles_bound(self):
-        sims = [S((0, 0), 1), S((0.2, 0), 1), S((0, 0.2), 1)]
-        res = pd.deepest_point_approx(sims, 0.5, seed=3)
-        assert res.depth >= 2  # (1 - eps) * 3 rounded up
-
-    def test_reported_depth_is_true_depth(self):
-        for seed in range(10):
-            sims = pd.random_homothets(60, 2, seed=seed)
-            res = pd.deepest_point_approx(sims, 0.25, seed=seed)
-            assert pd.depth_at(sims, res.point) == res.depth
-
-    def test_bound_over_many_seeds(self):
-        for seed in range(50):
-            sims = pd.random_homothets(50, 2, seed=seed, corner_range=(0, 5))
-            exact = pd.deepest_point_exact(sims).depth
-            got = pd.deepest_point_approx(sims, 0.25, seed=seed).depth
-            assert got >= 0.75 * exact
-
-    def test_deterministic_per_seed(self):
-        sims = pd.random_homothets(80, 2, seed=4)
-        a = pd.deepest_point_approx(sims, 0.3, seed=11)
-        b = pd.deepest_point_approx(sims, 0.3, seed=11)
-        assert a == b
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            pd.deepest_point_approx([S((0, 0), 1)], 0.0, seed=0)
-        with pytest.raises(ValueError):
-            pd.deepest_point_approx([S((0, 0), 1)], 1.0, seed=0)
-
-    def test_sampling_path_engages_on_large_input(self):
-        # big enough that early ladder guesses sample a strict subset
-        sims = pd.depth_controlled_family(400, 60, seed=2)
-        trace: list = []
-        res = pd.deepest_point_approx(sims, 0.5, seed=0, trace=trace)
-        exact = 60
-        assert res.depth >= 0.5 * exact
-        assert any(t["rate"] < 1.0 and t["sample_size"] < len(sims) for t in trace)
-
-    def test_sample_probability_monotone(self):
-        assert sample_probability(100, 0.5, 100) <= sample_probability(100, 0.5, 10)
-        assert sample_probability(100, 0.5, 1) == 1.0
 
 
 class TestGenerators:
