@@ -10,6 +10,7 @@ deepest-point queries over simplex homothets on fixed-margin planes.
 __version__ = "0.1.0"
 
 from .approx import (
+    LadderStats,
     LevelOutcome,
     LevelSchedule,
     level_schedule,
@@ -68,6 +69,7 @@ __all__ = [
     "EmptyMarketError",
     "GuardExceededError",
     "IntersectionIndex",
+    "LadderStats",
     "LevelOutcome",
     "LevelSchedule",
     "Market",

@@ -23,6 +23,31 @@ other half, so the guarantee holds with room to spare.  Giving the ladder
 all of ``eps`` would search fewer levels, but it would change every
 reported product, profit and level list, so the split is kept until a
 change that measures its effect on profit makes that switch.
+
+Most levels cannot change the answer, and they are skipped before they
+are projected or searched.  A level replaces the running best only if it
+beats it strictly, and level ``c`` earns at most ``c`` times its buyers.
+Its buyers number at most ``reach(c) = #{j : ppu_j >= c}``, and at most
+the depth of the lowest level, which is searched first: a customer's
+homothet at a higher margin lies inside their homothet at a lower one,
+on a grid that only gains lines, so no point of a higher level is deeper
+than the lowest level's deepest point (``cap``).  A level is skipped when
+``c * min(reach(c), cap)`` cannot exceed the running best; walking the
+ladder in its usual order, with the lowest level's outcome reused when
+the walk reaches it, every searched level and the winner, ties included,
+are the ones a search of every level gives.
+
+In floating point the product lifted from level ``c`` has a margin and a
+buyer set that differ from the real-number ones by rounding: its margin
+may exceed ``c`` by an ulp, and a customer whose rounded margin is a few
+ulps below ``c`` may buy it.  So the bound pads ``c`` up and the reach
+threshold down by a few spacings of the market's largest magnitude per
+coordinate.  The cap needs more: the lowest level's grid predicate counts
+a buyer of a higher level's product only when the two margins are apart
+by more than those rounding errors.  Every comparison involved is a
+monotone float operation, so that holds once adjacent levels (a factor
+``1 / (1 - part)`` apart) differ by far more than the padding; on ladders
+too fine for that, the cap is dropped and the reach alone bounds a level.
 """
 
 from __future__ import annotations
@@ -64,9 +89,28 @@ class LevelOutcome:
     profit: float
 
 
+@dataclass(frozen=True)
+class LadderStats:
+    """How much of the ladder a solve skipped.
+
+    ``levels_skipped`` counts the levels that were not searched because
+    they could not beat the running best (levels with no customers
+    included); ``depth_cap`` is the lowest level's depth when it bounded
+    the other levels, and ``None`` when the ladder is too fine for the cap
+    to be sound in floating point (see the module notes) or has one level.
+    """
+
+    levels_skipped: int
+    depth_cap: int | None
+
+
+def _margins(market: Market) -> np.ndarray:
+    return market.prices - market.qualities.sum(axis=1)
+
+
 def max_ppu(market: Market) -> float:
     """Largest profit per unit any single customer allows."""
-    return float(np.max(market.prices - market.qualities.sum(axis=1)))
+    return float(np.max(_margins(market)))
 
 
 def level_schedule(r: float, epsilon: float, n: int) -> LevelSchedule:
@@ -92,11 +136,12 @@ def level_schedule(r: float, epsilon: float, n: int) -> LevelSchedule:
     return LevelSchedule(r, epsilon, tuple(r * shrink**i for i in range(count + 1)))
 
 
-def _projection(market: Market, c: float) -> tuple[SimplexArray, np.ndarray]:
+def _projection(
+    market: Market, margins: np.ndarray, c: float
+) -> tuple[SimplexArray, np.ndarray]:
     """Homothets of the customers with margin at least ``c``, and their indices."""
     if c <= 0:
         raise ValueError(f"level constant must be positive, got {c}")
-    margins = market.prices - market.qualities.sum(axis=1)
     idx = np.flatnonzero(margins >= c)
     return SimplexArray(market.qualities[idx], margins[idx] - c), idx
 
@@ -108,7 +153,7 @@ def project_customers(market: Market, c: float) -> list[tuple[SimplexHomothet, i
     requirements and size ``ppu_j - c``; customers with smaller margins
     cannot consider any product that profitable and are omitted.
     """
-    sims, idx = _projection(market, c)
+    sims, idx = _projection(market, _margins(market), c)
     return list(zip(sims, map(int, idx)))
 
 
@@ -126,46 +171,86 @@ def solve_approx(market: Market, epsilon: float) -> ProfitReport:
     returned product's true profit.  Markets whose best customer margin is
     nonpositive yield the no-profit report.
     """
-    report, _ = solve_approx_detailed(market, epsilon)
+    report, _, _ = solve_approx_detailed(market, epsilon)
     return report
+
+
+def _rounding_pad(market: Market) -> float:
+    """Bound on the rounding that separates a lifted product's margin and
+    buyers from its level's (a few spacings per coordinate of the largest
+    magnitude a price, a margin or a partial quality sum can take)."""
+    scale = np.abs(market.prices).max() + np.abs(market.qualities).max(axis=0).sum()
+    return 4 * (market.dim + 2) * float(np.spacing(scale))
+
+
+def _search_level(
+    market: Market, margins: np.ndarray, i: int, c: float
+) -> tuple[LevelOutcome, ProfitReport] | None:
+    """Deepest product of level ``i`` and its report; ``None`` if no
+    customer reaches margin ``c``."""
+    sims, _ = _projection(market, margins, c)
+    if not sims:
+        return None
+    found = deepest_point_exact(sims)
+    product = lift_point(found.point, c)
+    report = evaluate(market, product)
+    return LevelOutcome(i, c, len(sims), found.depth, product, report.profit), report
 
 
 def solve_approx_detailed(
     market: Market, epsilon: float
-) -> tuple[ProfitReport, list[LevelOutcome]]:
-    """As :func:`solve_approx`, also returning per-level diagnostics."""
+) -> tuple[ProfitReport, list[LevelOutcome], LadderStats]:
+    """As :func:`solve_approx`, also returning the searched levels'
+    outcomes in ladder order and what the solve skipped."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    r = max_ppu(market)
+    margins = _margins(market)
+    r = float(np.max(margins))
     if r <= 0:
-        return NO_PROFITABLE_PRODUCT, []
+        return NO_PROFITABLE_PRODUCT, [], LadderStats(0, None)
 
     # The ladder takes half of the tolerance, multiplicatively (see the
     # module notes): (1 - part)**2 == 1 - epsilon.
     part = 1.0 - math.sqrt(1.0 - epsilon)
-    schedule = level_schedule(r, part, len(market))
+    levels = level_schedule(r, part, len(market)).levels
 
     # Seed the running best with the top customer's own product, which the
     # ladder floor argument needs; later winners must strictly beat it, so
     # ties resolve toward the lowest level.
-    margins = market.prices - market.qualities.sum(axis=1)
     top = int(np.argmax(margins))
     best = evaluate(market, lift_point(market.qualities[top], r))
-    outcomes: list[LevelOutcome] = []
 
-    for i, c in enumerate(schedule.levels):
-        sims, _ = _projection(market, c)
-        if not sims:
+    # The lowest level holds the top customer, so it is never empty; its
+    # depth caps every level above it (module notes).
+    last = len(levels) - 1
+    lowest = _search_level(market, margins, last, levels[last])
+    pad = _rounding_pad(market)
+    cap = None
+    if last and levels[-2] - levels[-1] > 16 * pad:
+        cap = lowest[0].depth
+    reach = len(market) - np.searchsorted(
+        np.sort(margins), np.asarray(levels) - pad
+    )
+    bound = np.minimum(reach, len(market) if cap is None else cap).tolist()
+
+    outcomes: list[LevelOutcome] = []
+    skipped = 0
+    for i, c in enumerate(levels):
+        if i == last:
+            found = lowest
+        elif (c + pad) * bound[i] > best.profit:
+            found = _search_level(market, margins, i, c)
+        else:
+            found = None
+        if found is None:
+            skipped += 1
             continue
-        found = deepest_point_exact(sims)
-        product = lift_point(found.point, c)
-        report = evaluate(market, product)
-        outcomes.append(
-            LevelOutcome(i, c, len(sims), found.depth, product, report.profit)
-        )
+        outcome, report = found
+        outcomes.append(outcome)
         if report.profit > best.profit:
             best = report
 
+    stats = LadderStats(skipped, cap)
     if best.profit <= 0:
-        return NO_PROFITABLE_PRODUCT, outcomes
-    return best, outcomes
+        return NO_PROFITABLE_PRODUCT, outcomes, stats
+    return best, outcomes, stats

@@ -33,7 +33,7 @@ from .market import (
 from .simplices import arrangement_stats, depth_controlled_family
 from .sweep import solve_exact_1d_with_stats
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 
 
@@ -104,7 +104,7 @@ def run(config: RunConfig) -> dict:
             "entries": stats.entries,
         }
     elif config.algorithm == "approx":
-        report, levels = solve_approx_detailed(market, config.epsilon)
+        report, levels, ladder = solve_approx_detailed(market, config.epsilon)
         diagnostics = {
             "levels": [
                 {
@@ -116,6 +116,8 @@ def run(config: RunConfig) -> dict:
                 }
                 for lv in levels
             ],
+            "levels_skipped": ladder.levels_skipped,
+            "depth_cap": ladder.depth_cap,
         }
     else:
         report = brute_force_optimum(market)

@@ -395,9 +395,12 @@ def brute_force_optimum(
     for k in range(d):
         counts = counts.cumsum(axis=k + 1)
 
-    margin = prices.reshape((-1,) + (1,) * d).astype(float)
+    # Sum the qualities first, in ppu's order ((0 + q_1) + q_2) + ..., so
+    # each cell's margin is bit-equal to what evaluate reports for it.
+    cost = np.zeros((1,) * (d + 1))
     for k in range(d):
-        margin = margin - axes[k].reshape((1,) * (k + 1) + (-1,) + (1,) * (d - k - 1))
+        cost = cost + axes[k].reshape((1,) * (k + 1) + (-1,) + (1,) * (d - k - 1))
+    margin = prices.reshape((-1,) + (1,) * d) - cost
     profit = margin * counts
 
     flat_best = int(np.argmax(profit))  # first max in C-order == lex-smallest

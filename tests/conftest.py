@@ -73,3 +73,18 @@ def grid_scan_deepest(sims) -> tuple[tuple[float, ...], int]:
         depth += mask
     at = np.unravel_index(int(np.argmax(depth)), shape)
     return tuple(float(axes[k][at[k]]) for k in range(d)), int(depth[at])
+
+
+def float_market(rng, n: int, d: int, ties: bool = False) -> pd.Market:
+    """Pruned market with two-decimal prices and qualities, some customers
+    with negative margins; ``ties`` draws from few distinct values."""
+    if ties:
+        q = rng.integers(0, 4, size=(n, d)) * 2.5
+        margin = rng.integers(-2, 5, size=n) * 1.25
+    else:
+        q = np.round(rng.uniform(0, 10, size=(n, d)), 2)
+        margin = np.round(rng.uniform(-2, 5, size=n), 2)
+    prices = np.round(q.sum(axis=1) + margin, 2)
+    return pd.prune_dominated(
+        pd.Customer(float(p), tuple(map(float, row))) for p, row in zip(prices, q)
+    )

@@ -205,13 +205,13 @@ class TestSolveApprox:
         m = pd.random_pareto_market(40, 2, seed=0)
         lengths = []
         for eps in (0.6, 0.4, 0.2, 0.1):
-            _, levels = pd.solve_approx_detailed(m, eps)
-            lengths.append(len(levels))
+            _, levels, ladder = pd.solve_approx_detailed(m, eps)
+            lengths.append(len(levels) + ladder.levels_skipped)
         assert lengths == sorted(lengths)
 
     def test_detailed_outcomes_are_consistent(self):
         m = pd.random_pareto_market(20, 2, seed=3)
-        rep, levels = pd.solve_approx_detailed(m, 0.25)
+        rep, levels, _ = pd.solve_approx_detailed(m, 0.25)
         assert levels, "expected at least one searched level"
         for lv in levels:
             assert lv.profit == pd.evaluate(m, lv.product).profit

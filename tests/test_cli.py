@@ -75,7 +75,7 @@ class TestRun:
             "max_ppu": 2.0,
             "pruned_customers": 0,
         }
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["diagnostics"]["events"] == 2
         market, _ = load_market(two_customer_csv)
         _, stats = pd.solve_exact_1d_with_stats(market)
@@ -117,7 +117,18 @@ class TestRun:
             "epsilon": 0.25,
             "prune": False,
         }
-        assert list(a["diagnostics"]) == ["levels"]
+        assert list(a["diagnostics"]) == ["levels", "levels_skipped", "depth_cap"]
+
+    def test_approx_report_counts_skipped_levels(self, tmp_path):
+        market = pd.random_pareto_market(60, 2, seed=4, value_range=(0, 30))
+        path = tmp_path / "m.csv"
+        path.write_text(pd.market_to_csv(market))
+        report = run(RunConfig(input=str(path), algorithm="approx", epsilon=0.25))
+        _, levels, ladder = pd.solve_approx_detailed(market, 0.25)
+        diagnostics = report["diagnostics"]
+        assert len(diagnostics["levels"]) == len(levels)
+        assert diagnostics["levels_skipped"] == ladder.levels_skipped > 0
+        assert diagnostics["depth_cap"] == ladder.depth_cap == levels[-1].depth
 
     def test_epsilon_required_for_approx(self, two_customer_csv):
         with pytest.raises(ValueError, match="epsilon"):
@@ -173,6 +184,17 @@ class TestMainExitCodes:
         path.write_text(pd.market_to_csv(market))
         code = main(["solve", "--input", str(path), "--algorithm", "bruteforce"])
         assert code == 3
+
+    def test_bruteforce_float_market_reverifies(self, tmp_path, capsys):
+        # brute force once summed this margin as ((p - q1) - q2) - q3, one
+        # ulp off evaluate's p - (q1 + q2 + q3), and failed re-verification
+        path = tmp_path / "m.csv"
+        path.write_text("price,q1,q2,q3\n17.05,5.55,4.13,4.92\n")
+        code = main(["solve", "--input", str(path), "--algorithm", "bruteforce"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        customer = pd.Customer(17.05, (5.55, 4.13, 4.92))
+        assert payload["result"]["ppu"] == pd.ppu(customer)
 
     def test_depth_guard_breach_is_3(self, tmp_path, capsys, monkeypatch):
         market = pd.random_pareto_market(30, 2, seed=3, value_range=(0, 12))
