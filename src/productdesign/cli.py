@@ -20,14 +20,15 @@ from .approx import max_ppu, solve_approx_detailed
 from .errors import GuardExceededError, MarketFormatError
 from .market import (
     Market,
+    _csv_arrays,
+    _json_arrays,
+    _prune_arrays,
     brute_force_optimum,
     element_uniqueness_instance,
     evaluate,
     market_to_csv,
     market_to_json,
-    parse_customers_csv,
-    parse_customers_json,
-    prune_dominated,
+    parse_customers_json,  # noqa: F401  (perfbench/spans.py wraps this name)
     random_pareto_market,
 )
 from .simplices import arrangement_stats, depth_controlled_family
@@ -56,18 +57,18 @@ def load_market(path: str, prune: bool = False) -> tuple[Market, int]:
     text = p.read_text()
     suffix = p.suffix.lower()
     if suffix == ".json" or (suffix != ".csv" and text.lstrip().startswith("{")):
-        customers = parse_customers_json(text)
+        prices, qualities = _json_arrays(text)
     else:
-        customers = parse_customers_csv(text)
+        prices, qualities = _csv_arrays(text)
     if prune:
-        market = prune_dominated(customers)
-        dropped = len(customers) - len(market)
+        market = _prune_arrays(prices, qualities)
+        dropped = prices.size - len(market)
         if dropped:
             print(
                 f"warning: pruned {dropped} dominated customer(s)", file=sys.stderr
             )
         return market, dropped
-    return Market(customers), 0
+    return Market.from_arrays(prices, qualities), 0
 
 
 def _result_section(report) -> dict:

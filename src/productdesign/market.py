@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .errors import (
 
 # Grid-candidate count allowed in the exhaustive optimum (roughly n**(d+1)).
 BRUTE_FORCE_GUARD = 50_000_000
+
+# Pairwise comparisons (n**2) allowed in the dense Pareto check for d >= 3.
+PARETO_GUARD = 100_000_000
 
 
 def _quality_tuple(qualities: Iterable[float]) -> tuple[float, ...]:
@@ -281,14 +285,27 @@ def _pareto_witness(
 
 
 def _dominated_mask(prices: np.ndarray, qualities: np.ndarray) -> np.ndarray:
-    """Boolean mask of customers dominated by some other customer."""
-    n = prices.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    if qualities.shape[1] == 1:
+    """Boolean mask of customers dominated by some other customer.
+
+    O(n log n) for one quality and O(n log^2 n) for two; three or more
+    compare every pair, and raise :class:`GuardExceededError` before any
+    work when the ``n**2`` comparisons exceed :data:`PARETO_GUARD`.
+    """
+    n, d = qualities.shape
+    if d == 1:
+        mask = np.zeros(n, dtype=bool)
         order, flags = _dominated_1d(prices, qualities[:, 0])
         mask[order] = flags
         return mask
-    cols = [np.ascontiguousarray(qualities[:, k]) for k in range(qualities.shape[1])]
+    if d == 2:
+        return _dominated_2d(prices, qualities[:, 0], qualities[:, 1])
+    if n * n > PARETO_GUARD:
+        raise GuardExceededError(
+            f"Pareto check of {n} customers with {d} qualities needs {n * n} "
+            f"comparisons, above the {PARETO_GUARD} guard"
+        )
+    mask = np.zeros(n, dtype=bool)
+    cols = [np.ascontiguousarray(qualities[:, k]) for k in range(d)]
     chunk = max(1, 2_000_000 // max(1, n))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
@@ -297,6 +314,45 @@ def _dominated_mask(prices: np.ndarray, qualities: np.ndarray) -> np.ndarray:
         for col in cols:
             dom &= col[:, None] > col[None, lo:hi]
         mask[lo:hi] = dom.any(axis=0)
+    return mask
+
+
+def _dominated_2d(prices: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Dominated mask for two qualities, by divide and conquer in O(n log^2 n).
+
+    In (price, q1) ascending order, an earlier customer at the same price
+    never has a strictly larger q1, so "strictly cheaper and strictly
+    stricter" becomes "earlier, with strictly larger q1 and q2": the 3-D
+    maxima problem of Kung, Luccio & Preparata (1975).  Positions are
+    split into blocks of ``2 * half``, whose right half queries its left
+    half.  Each pass takes every block in descending q1 (queries before
+    inserts on equal q1, so equal q1 never counts) and keeps a running
+    maximum of the inserted q2 ranks; offsetting block ``b`` by
+    ``b * (n + 1)`` stops the maximum at block boundaries.  A query is
+    dominated when that maximum exceeds its own q2 rank.  All blocks of
+    one level share one numpy pass, as in ``sweep._row_maxima``.
+    """
+    n = prices.shape[0]
+    order = np.lexsort((q1, prices))
+    r1 = np.unique(q1[order], return_inverse=True)[1]
+    r2 = np.unique(q2[order], return_inverse=True)[1] + 1  # 0 marks a query
+    pos = np.arange(n)
+    # processing rank: descending q1, later positions (the right half) first
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((-pos, -r1))] = pos
+    dominated = np.zeros(n, dtype=bool)
+    half = 1
+    while half < n:
+        block = pos // (2 * half)
+        seq = np.argsort(block * n + rank)
+        left = (seq // half) % 2 == 0
+        offset = block[seq] * (n + 1)
+        r2_seq = r2[seq]
+        best = np.maximum.accumulate(np.where(left, r2_seq, 0) + offset) - offset
+        dominated[seq[~left & (best > r2_seq)]] = True
+        half *= 2
+    mask = np.zeros(n, dtype=bool)
+    mask[order] = dominated
     return mask
 
 
@@ -318,15 +374,22 @@ def validate_pareto(customers: Iterable[Customer]) -> list[tuple[int, int]]:
     return pairs
 
 
+_PRUNE_EMPTY = "cannot prune an empty customer list"
+
+
 def prune_dominated(customers: Iterable[Customer]) -> Market:
     """Drop every dominated customer and return the remaining market.
 
     Survivors cannot dominate each other (domination is transitive and
     irreflexive), so the result always validates.
     """
-    prices, qualities = _customer_arrays(
-        customers, "cannot prune an empty customer list"
-    )
+    return _prune_arrays(*_customer_arrays(customers, _PRUNE_EMPTY))
+
+
+def _prune_arrays(prices: np.ndarray, qualities: np.ndarray) -> Market:
+    """:func:`prune_dominated` on a price vector and ``(n, d)`` quality matrix."""
+    if prices.size == 0:
+        raise EmptyMarketError(_PRUNE_EMPTY)
     keep = ~_dominated_mask(prices, qualities)
     if not keep.any():
         raise EmptyMarketError("pruning removed every customer")
@@ -434,7 +497,9 @@ def random_pareto_market(
     plus a strictly increasing positive offset, which is Pareto-consistent
     by construction.  For ``d > 1`` random customers with positive margins
     are drawn and dominated ones filtered until ``n`` survive.  Every
-    result has at least one customer with positive margin.
+    result has at least one customer with positive margin.  For ``d >= 3``
+    the filter is the guarded pairwise check, so ``n`` above about 5000
+    raises :class:`GuardExceededError`.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
@@ -484,10 +549,19 @@ def element_uniqueness_instance(values: Sequence[int]) -> Market:
 def _check_finite_number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MarketFormatError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise MarketFormatError(
+            f"{where}: integer too large for a float ({len(str(abs(value)))} digits)"
+        ) from None
     if not math.isfinite(v):
         raise MarketFormatError(f"{where}: non-finite value {value!r}")
     return v
+
+
+def _customers_of_arrays(prices: np.ndarray, qualities: np.ndarray) -> list[Customer]:
+    return [Customer(p, tuple(q)) for p, q in zip(prices.tolist(), qualities.tolist())]
 
 
 def parse_customers_json(text: str) -> list[Customer]:
@@ -495,6 +569,23 @@ def parse_customers_json(text: str) -> list[Customer]:
 
     Expected shape: ``{"dim": d, "customers": [{"price": x, "qualities":
     [..]}, ...]}``.  NaN and infinities are rejected.
+    """
+    return _customers_of_arrays(*_json_arrays(text))
+
+
+def parse_customers_csv(text: str) -> list[Customer]:
+    """Parse the CSV market format: header ``price,q1,...,qd`` plus rows."""
+    return _customers_of_arrays(*_csv_arrays(text))
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _json_arrays(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Prices ``(n,)`` and qualities ``(n, dim)`` of a JSON market file.
+
+    Every entry is checked in bulk; only when a check fails are the
+    entries scanned one by one, to name the first bad customer and field.
     """
 
     def _reject(token: str):
@@ -512,11 +603,45 @@ def parse_customers_json(text: str) -> list[Customer]:
     entries = data.get("customers")
     if not isinstance(entries, list) or not entries:
         raise MarketFormatError("'customers' must be a nonempty list")
-    customers = []
+    columns = _json_columns(entries, dim)
+    if columns is None:
+        _raise_json_entry_error(entries, dim)
+    return columns
+
+
+def _json_columns(entries: list, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The entries as column arrays, or None if any entry is malformed.
+
+    JSON numbers decode to exactly ``int`` or ``float``, so checking
+    ``type`` rejects booleans and strings as the per-entry scan does.
+    """
+    if set(map(type, entries)) != {dict}:
+        return None
+    prices = [e.get("price") for e in entries]
+    quals = [e.get("qualities") for e in entries]
+    if not set(map(type, prices)) <= _NUMBER_TYPES:
+        return None
+    if set(map(type, quals)) != {list} or set(map(len, quals)) != {dim}:
+        return None
+    flat = list(itertools.chain.from_iterable(quals))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
+    try:
+        p = np.array(prices, dtype=float)
+        q = np.array(flat, dtype=float).reshape(-1, dim)
+    except OverflowError:  # an integer past the float range
+        return None
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        return None
+    return p, q
+
+
+def _raise_json_entry_error(entries: list, dim: int) -> NoReturn:
+    """Raise the error of the first malformed customer entry."""
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise MarketFormatError(f"customer {i}: expected an object")
-        price = _check_finite_number(entry.get("price"), f"customer {i}: price")
+        _check_finite_number(entry.get("price"), f"customer {i}: price")
         quals = entry.get("qualities")
         if not isinstance(quals, list):
             raise MarketFormatError(f"customer {i}: 'qualities' must be a list")
@@ -524,49 +649,66 @@ def parse_customers_json(text: str) -> list[Customer]:
             raise MarketFormatError(
                 f"customer {i}: has {len(quals)} qualities, expected dim={dim}"
             )
-        qs = tuple(
+        for k, v in enumerate(quals):
             _check_finite_number(v, f"customer {i}: quality {k+1}")
-            for k, v in enumerate(quals)
-        )
-        customers.append(Customer(price, qs))
-    return customers
+    raise AssertionError("the bulk check rejected entries the scan accepts")
 
 
-def parse_customers_csv(text: str) -> list[Customer]:
-    """Parse the CSV market format: header ``price,q1,...,qd`` plus rows."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [(i + 1, r) for i, r in enumerate(rows) if any(f.strip() for f in r)]
-    if not rows:
+def _csv_arrays(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Prices ``(n,)`` and qualities ``(n, d)`` of a CSV market file.
+
+    Blank lines are skipped; ``n`` may be 0.  The fields are converted and
+    checked in bulk; only when that fails are the rows scanned one by one,
+    to name the first bad line and field.
+    """
+    records = list(csv.reader(io.StringIO(text)))
+    lines = [i for i, r in enumerate(records) if "".join(r).strip()]
+    if not lines:
         raise MarketFormatError("empty CSV file")
-    header_line, header = rows[0]
+    header = records[lines[0]]
     expected = ["price"] + [f"q{k}" for k in range(1, len(header))]
     if [h.strip() for h in header] != expected or len(header) < 2:
         raise MarketFormatError(
-            f"line {header_line}: header must be price,q1,...,qd, got {header!r}"
+            f"line {lines[0] + 1}: header must be price,q1,...,qd, got {header!r}"
         )
-    dim = len(header) - 1
-    customers = []
-    for line_no, row in rows[1:]:
-        if len(row) != dim + 1:
+    width = len(header)
+    body = [records[i] for i in lines[1:]]
+    values = None
+    if set(map(len, body)) <= {width}:
+        try:
+            values = np.fromiter(
+                map(float, itertools.chain.from_iterable(body)),
+                dtype=float,
+                count=len(body) * width,
+            ).reshape(-1, width)
+        except ValueError:  # a field that is not a number
+            pass
+    if values is None or not np.isfinite(values).all():
+        _raise_csv_row_error(records, lines[1:], width)
+    return values[:, 0], values[:, 1:]
+
+
+def _raise_csv_row_error(records: list, lines: list[int], width: int) -> NoReturn:
+    """Raise the error of the first malformed row among ``records[lines]``."""
+    for i in lines:
+        row = records[i]
+        if len(row) != width:
             raise MarketFormatError(
-                f"line {line_no}: expected {dim + 1} fields, got {len(row)}"
+                f"line {i + 1}: expected {width} fields, got {len(row)}"
             )
-        values = []
         for field_no, field in enumerate(row):
             name = "price" if field_no == 0 else f"q{field_no}"
             try:
                 v = float(field)
             except ValueError:
                 raise MarketFormatError(
-                    f"line {line_no}: field {name}: not a number: {field!r}"
+                    f"line {i + 1}: field {name}: not a number: {field!r}"
                 ) from None
             if not math.isfinite(v):
                 raise MarketFormatError(
-                    f"line {line_no}: field {name}: non-finite value {field!r}"
+                    f"line {i + 1}: field {name}: non-finite value {field!r}"
                 )
-            values.append(v)
-        customers.append(Customer(values[0], tuple(values[1:])))
-    return customers
+    raise AssertionError("the bulk check rejected rows the scan accepts")
 
 
 def market_to_json(market: Market) -> str:
@@ -574,7 +716,8 @@ def market_to_json(market: Market) -> str:
     payload = {
         "dim": market.dim,
         "customers": [
-            {"price": c.price, "qualities": list(c.qualities)} for c in market
+            {"price": p, "qualities": q}
+            for p, q in zip(market.prices.tolist(), market.qualities.tolist())
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -585,6 +728,6 @@ def market_to_csv(market: Market) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["price"] + [f"q{k + 1}" for k in range(market.dim)])
-    for c in market:
-        writer.writerow([repr(c.price)] + [repr(v) for v in c.qualities])
+    # the csv module writes floats with repr, so every value round-trips
+    writer.writerows(np.column_stack((market.prices, market.qualities)).tolist())
     return out.getvalue()

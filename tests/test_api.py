@@ -3,7 +3,7 @@ import inspect
 import types
 
 import productdesign as pd
-from productdesign import simplices, sweep
+from productdesign import market, simplices, sweep
 from productdesign.cli import RunConfig, build_parser
 
 
@@ -73,6 +73,34 @@ def test_simplices_defines_only_the_exact_depth_toolkit():
         "depth_controlled_family",
         "intersects",
         "random_homothets",
+    }
+
+
+def test_market_defines_only_its_public_api():
+    # the column-array parsers and pruning helper stay private
+    defined = {
+        name
+        for name, obj in vars(market).items()
+        if not name.startswith("_")
+        and getattr(obj, "__module__", None) == market.__name__
+    }
+    assert defined == {
+        "Customer",
+        "Market",
+        "NO_PROFITABLE_PRODUCT",
+        "Product",
+        "ProfitReport",
+        "brute_force_optimum",
+        "element_uniqueness_instance",
+        "evaluate",
+        "market_to_csv",
+        "market_to_json",
+        "parse_customers_csv",
+        "parse_customers_json",
+        "ppu",
+        "prune_dominated",
+        "random_pareto_market",
+        "validate_pareto",
     }
 
 

@@ -1,6 +1,7 @@
 import json
 from functools import partial
 
+import numpy as np
 import pytest
 
 import productdesign as pd
@@ -184,6 +185,28 @@ class TestMainExitCodes:
         path.write_text(pd.market_to_csv(market))
         code = main(["solve", "--input", str(path), "--algorithm", "bruteforce"])
         assert code == 3
+
+    def test_pareto_guard_breach_is_3(self, tmp_path, capsys):
+        # one customer past the d >= 3 guard's sqrt(PARETO_GUARD) == 10**4
+        rows = np.arange(10_001)
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "price,q1,q2,q3\n" + "".join(f"{r + 1},{r},{r},0\n" for r in rows)
+        )
+        code = main(["solve", "--input", str(path), "--algorithm", "approx",
+                     "--epsilon", "0.5"])
+        assert code == 3
+        assert "100020001 comparisons" in capsys.readouterr().err
+
+    def test_integer_past_float_range_is_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"dim": 1, "customers": [{"price": 1%s, "qualities": [1]}]}' % ("0" * 400)
+        )
+        code = main(["solve", "--input", str(path), "--algorithm", "exact1d"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "customer 0: price: integer too large for a float" in err
 
     def test_bruteforce_float_market_reverifies(self, tmp_path, capsys):
         # brute force once summed this margin as ((p - q1) - q2) - q3, one

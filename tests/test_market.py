@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import productdesign as pd
+from productdesign import market as market_mod
 from conftest import customers_of, market_of
 
 
@@ -139,6 +141,78 @@ class TestParetoValidation:
                 and all(x > y for x, y in zip(cs[b].qualities, cs[a].qualities))
             ]
             assert got == want
+
+
+def _dense_dominated(prices, qualities):
+    """Customers some other one undercuts while demanding strictly more in
+    every quality, by comparing every pair."""
+    dom = prices[:, None] < prices[None, :]
+    for k in range(qualities.shape[1]):
+        dom &= qualities[:, None, k] > qualities[None, :, k]
+    return dom
+
+
+def _pareto_markets_2d(rng):
+    """Tie-heavy integer, equal-price float and larger integer d = 2 inputs."""
+    for t in range(300):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, 5))
+        prices = rng.integers(0, k, n).astype(float)
+        yield prices, rng.integers(0, k, (n, 2)).astype(float)
+        q = np.round(rng.uniform(0, 10, (n, 2)), 2)
+        prices = np.round(q.sum(axis=1) + rng.integers(-2, 3, n) * 0.5, 2)
+        prices[rng.random(n) < 0.4] = prices[0]
+        yield prices, q
+    for n in (500, 1500, 3000):
+        q = rng.integers(0, 101, (n, 2)).astype(float)
+        yield q.sum(axis=1) + rng.integers(1, 6, n), q
+
+
+class TestDominatedMask:
+    def test_2d_matches_dense_definition(self):
+        flagged = 0
+        for prices, q in _pareto_markets_2d(np.random.default_rng(17)):
+            want = _dense_dominated(prices, q).any(axis=0)
+            assert np.array_equal(market_mod._dominated_mask(prices, q), want)
+            flagged += int(want.sum())
+        assert flagged > 1000
+
+    def test_2d_witness_is_lowest_dominated_and_its_lowest_dominator(self):
+        checked = 0
+        for prices, q in _pareto_markets_2d(np.random.default_rng(18)):
+            dom = _dense_dominated(prices, q)
+            if not dom.any():
+                pd.Market.from_arrays(prices, q)
+                continue
+            i = int(np.argmax(dom.any(axis=0)))
+            with pytest.raises(pd.ParetoViolationError) as info:
+                pd.Market.from_arrays(prices, q)
+            assert info.value.pair == (i, int(np.argmax(dom[:, i])))
+            checked += 1
+        assert checked > 100
+
+    def test_dense_guard_trips_before_allocating(self, monkeypatch):
+        n = 2000
+        monkeypatch.setattr(market_mod, "PARETO_GUARD", n * n - 1)
+        prices = np.arange(n, dtype=float)
+        q = np.zeros((n, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(pd.GuardExceededError, match="4000000 comparisons"):
+                market_mod._dominated_mask(prices, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # one block of the scan is n * 1000 bytes
+        monkeypatch.setattr(market_mod, "PARETO_GUARD", n * n)
+        assert not market_mod._dominated_mask(prices, q).any()
+
+    def test_guard_applies_to_three_or_more_qualities_only(self, monkeypatch):
+        monkeypatch.setattr(market_mod, "PARETO_GUARD", 0)
+        for d in (1, 2):
+            assert len(pd.random_pareto_market(50, d, seed=d)) == 50
+        with pytest.raises(pd.GuardExceededError):
+            pd.random_pareto_market(50, 3, seed=3)
 
 
 class TestPrune:
