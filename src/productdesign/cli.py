@@ -34,7 +34,7 @@ from .market import (
 from .simplices import arrangement_stats, depth_controlled_family
 from .sweep import solve_exact_1d_with_stats
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 
 
@@ -103,6 +103,7 @@ def run(config: RunConfig) -> dict:
             "events": stats.events,
             "candidates_appended": stats.appended,
             "entries": stats.entries,
+            "rows_pruned": stats.rows_pruned,
         }
     elif config.algorithm == "approx":
         report, levels, ladder = solve_approx_detailed(market, config.epsilon)
@@ -211,6 +212,7 @@ def _cmd_bench(args) -> int:
                     "ms": round(ms, 3),
                     "profit": report.profit,
                     "entries": stats.entries,
+                    "rows_pruned": stats.rows_pruned,
                 }
             )
         ratios = [

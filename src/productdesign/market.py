@@ -44,13 +44,22 @@ BRUTE_FORCE_GUARD = 50_000_000
 PARETO_GUARD = 100_000_000
 
 
+def _finite_float(value: object, what: str) -> float:
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{what} must be finite, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {v!r}")
+    return v
+
+
 def _quality_tuple(qualities: Iterable[float]) -> tuple[float, ...]:
-    q = tuple(float(v) for v in qualities)
+    q = tuple(_finite_float(v, "qualities") for v in qualities)
     if not q:
         raise ValueError("at least one quality dimension is required")
-    for v in q:
-        if not math.isfinite(v):
-            raise ValueError(f"qualities must be finite, got {v!r}")
     return q
 
 
@@ -62,10 +71,8 @@ class Customer:
     qualities: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "price", float(self.price))
+        object.__setattr__(self, "price", _finite_float(self.price, "price"))
         object.__setattr__(self, "qualities", _quality_tuple(self.qualities))
-        if not math.isfinite(self.price):
-            raise ValueError(f"price must be finite, got {self.price!r}")
 
     @property
     def dim(self) -> int:
@@ -80,10 +87,8 @@ class Product:
     qualities: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "price", float(self.price))
+        object.__setattr__(self, "price", _finite_float(self.price, "price"))
         object.__setattr__(self, "qualities", _quality_tuple(self.qualities))
-        if not math.isfinite(self.price):
-            raise ValueError(f"price must be finite, got {self.price!r}")
 
     @property
     def dim(self) -> int:
@@ -546,18 +551,32 @@ def element_uniqueness_instance(values: Sequence[int]) -> Market:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite_number(value: object, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MarketFormatError(f"{where}: expected a number, got {value!r}")
+class _LongInteger(str):
+    """A JSON integer literal with more digits than ``int()`` converts."""
+
+
+def _parse_int(token: str) -> int | _LongInteger:
     try:
-        v = float(value)
-    except OverflowError:
-        raise MarketFormatError(
-            f"{where}: integer too large for a float ({len(str(abs(value)))} digits)"
-        ) from None
-    if not math.isfinite(v):
-        raise MarketFormatError(f"{where}: non-finite value {value!r}")
-    return v
+        return int(token)
+    except ValueError:
+        return _LongInteger(token)
+
+
+def _check_finite_number(value: object, where: str) -> float:
+    if isinstance(value, _LongInteger):
+        digits = len(value.lstrip("-"))
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MarketFormatError(f"{where}: expected a number, got {value!r}")
+    else:
+        try:
+            v = float(value)
+        except OverflowError:
+            digits = len(str(abs(value)))
+        else:
+            if not math.isfinite(v):
+                raise MarketFormatError(f"{where}: non-finite value {value!r}")
+            return v
+    raise MarketFormatError(f"{where}: integer too large for a float ({digits} digits)")
 
 
 def _customers_of_arrays(prices: np.ndarray, qualities: np.ndarray) -> list[Customer]:
@@ -595,6 +614,12 @@ def _json_arrays(text: str) -> tuple[np.ndarray, np.ndarray]:
         data = json.loads(text, parse_constant=_reject)
     except json.JSONDecodeError as e:
         raise MarketFormatError(f"invalid JSON: {e}") from e
+    except MarketFormatError:
+        raise
+    except ValueError:
+        # an integer literal past int()'s digit limit: decode it as a
+        # _LongInteger, which the per-entry scan reports
+        data = json.loads(text, parse_constant=_reject, parse_int=_parse_int)
     if not isinstance(data, dict):
         raise MarketFormatError("top-level JSON value must be an object")
     dim = data.get("dim")

@@ -28,6 +28,22 @@ above and below.  All blocks of one recursion level are scanned in a
 single numpy pass, so a solve is ``ceil(log2(n + 1))`` vectorized passes
 of at most ``n + columns`` entries each: O(n log n) overall.
 
+Only the overall maximum is needed, so before each pass a block (rows
+``lo..hi``, columns ``lo_col..hi_col``) is dropped when its bound
+
+    (p[lo] - q[min(hi_col, last_column[hi])]) * (hi + 1 - columns[lo_col])
+
+is strictly below the best entry found so far (0 at the start): the
+highest price of the block, less the lowest quality any of its rows
+reaches, times its largest count.  Float subtraction and multiplication
+round monotonically, so no float entry with a nonnegative margin exceeds
+the float bound; when the bound's margin is negative every entry of the
+block is negative.  A row holding the maximum is therefore never dropped.
+Ties with the best are kept, so the first row holding the maximum, and
+its rightmost maximizing column, are still the ones reported; dropping
+ties would let a lower-priced row found in an earlier pass stand in for
+a higher-priced row that only ties it.
+
 The chosen (price, quality) is re-evaluated against the market with
 :func:`~productdesign.market.evaluate`.
 """
@@ -48,7 +64,9 @@ class SweepStats:
 
     ``appended`` counts the distinct qualities (the matrix columns) and
     ``duplicate_skips`` the events that repeat an earlier quality;
-    ``entries`` counts the matrix entries the search evaluated.
+    ``entries`` counts the matrix entries the search evaluated and
+    ``rows_pruned`` the rows it never scanned, because their block's bound
+    fell below the best entry already found.
     ``certificate_pushes`` is always 0; it is kept only because the
     benchmark in ``perfbench/`` reads it.
     """
@@ -57,6 +75,7 @@ class SweepStats:
     appended: int = 0
     duplicate_skips: int = 0
     entries: int = 0
+    rows_pruned: int = 0
     certificate_pushes: int = 0
 
 
@@ -88,12 +107,15 @@ def solve_exact_1d_with_stats(
     columns = np.flatnonzero(new_quality)  # first event of each quality
     last_column = np.cumsum(new_quality) - 1  # per row: last column at or before it
 
-    row_max, row_arg, entries = _row_maxima(p, q[columns], columns, last_column)
+    row_max, row_arg, entries, rows_pruned = _row_maxima(
+        p, q[columns], columns, last_column
+    )
     stats = SweepStats(
         events=n,
         appended=columns.size,
         duplicate_skips=n - columns.size,
         entries=entries,
+        rows_pruned=rows_pruned,
     )
     if check_invariants:
         _check_row_maxima(p, q, row_max)
@@ -116,7 +138,7 @@ def solve_exact_1d_with_stats(
 
 def _row_maxima(
     p: np.ndarray, q: np.ndarray, columns: np.ndarray, last_column: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Maximum and rightmost maximizing column of every row of
     ``M[t][c] = (p[t] - q[c]) * (t - columns[c] + 1)`` over ``c <= last_column[t]``.
 
@@ -124,13 +146,20 @@ def _row_maxima(
     ``columns`` the column event indices.  Each pass scans the middle row
     of every pending block of rows over that block's column range
     ``lo_col..hi_col`` (cut at the row's last column); its argmax bounds
-    the ranges of the rows above and below.  Returns the row maxima, the
-    argmax columns and the number of entries evaluated.
+    the ranges of the rows above and below.  A block whose bound (highest
+    price less lowest reachable quality, times largest count; see the
+    module docstring for why it bounds every float entry) is strictly
+    below the best peak found so far is dropped before the next pass;
+    ties are kept.
+    Returns the row maxima (``-inf`` for the rows of dropped blocks), the
+    argmax columns, the number of entries evaluated and the number of rows
+    dropped.
     """
     n = p.size
-    row_max = np.empty(n)
+    row_max = np.full(n, -np.inf)
     row_arg = np.empty(n, dtype=np.int64)
-    entries = 0
+    entries = searched = 0
+    best = 0.0
     lo = np.zeros(1, dtype=np.int64)
     hi = np.full(1, n - 1, dtype=np.int64)
     lo_col = np.zeros(1, dtype=np.int64)
@@ -141,6 +170,7 @@ def _row_maxima(
         starts = np.cumsum(lengths) - lengths
         total = int(starts[-1] + lengths[-1])
         entries += total
+        searched += mid.size
         col = np.arange(total) - np.repeat(starts - lo_col, lengths)
         values = (np.repeat(p[mid], lengths) - q[col]) * (
             np.repeat(mid + 1, lengths) - columns[col]
@@ -150,6 +180,7 @@ def _row_maxima(
         arg = col[hits[np.searchsorted(hits, starts + lengths) - 1]]
         row_max[mid] = peak
         row_arg[mid] = arg
+        best = max(best, float(peak.max()))
         above, below = lo < mid, mid < hi
         lo, hi, lo_col, hi_col = (
             np.concatenate((lo[above], mid[below] + 1)),
@@ -157,7 +188,12 @@ def _row_maxima(
             np.concatenate((lo_col[above], arg[below])),
             np.concatenate((arg[above], hi_col[below])),
         )
-    return row_max, row_arg, entries
+        bound = (p[lo] - q[np.minimum(hi_col, last_column[hi])]) * (
+            hi + 1 - columns[lo_col]
+        )
+        keep = bound >= best
+        lo, hi, lo_col, hi_col = lo[keep], hi[keep], lo_col[keep], hi_col[keep]
+    return row_max, row_arg, entries, n - searched
 
 
 def _check_row_maxima(p: np.ndarray, q: np.ndarray, row_max: np.ndarray) -> None:
@@ -166,11 +202,20 @@ def _check_row_maxima(p: np.ndarray, q: np.ndarray, row_max: np.ndarray) -> None
 
     The scan also takes the repeat events of a quality as columns.  Their
     smaller count only wins a row where every margin is negative, and such
-    a row cannot hold the optimum, so both sides are compared clipped at 0.
+    a row cannot hold the optimum, so a searched row is compared clipped
+    at 0.  A pruned row (maximum ``-inf``) must scan strictly below the
+    final best or at most 0: a pruned row that could tie or win is an error.
     """
+    best = max(float(row_max.max()), 0.0)
     for t in range(p.size):
         direct = float(np.max((p[t] - q[: t + 1]) * np.arange(t + 1, 0, -1)))
-        if max(float(row_max[t]), 0.0) != max(direct, 0.0):
+        if not np.isfinite(row_max[t]):
+            if not (direct < best or direct <= 0.0):
+                raise AssertionError(
+                    f"event {t + 1}: pruned row scans {direct}, "
+                    f"not below the best {best}"
+                )
+        elif max(float(row_max[t]), 0.0) != max(direct, 0.0):
             raise AssertionError(
                 f"event {t + 1}: searched row maximum {row_max[t]} != "
                 f"direct scan {direct}"

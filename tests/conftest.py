@@ -88,3 +88,56 @@ def float_market(rng, n: int, d: int, ties: bool = False) -> pd.Market:
     return pd.prune_dominated(
         pd.Customer(float(p), tuple(map(float, row))) for p, row in zip(prices, q)
     )
+
+
+def event_arrays(market: pd.Market):
+    """The 1-D solver's search inputs: event prices (price descending,
+    then quality descending), column qualities, column event indices and
+    each event's last column."""
+    ql = market.qualities[:, 0]
+    order = np.lexsort((-ql, -market.prices))
+    p, q = market.prices[order], ql[order]
+    new_quality = np.concatenate(([True], q[1:] != q[:-1]))
+    columns = np.flatnonzero(new_quality)
+    return p, q[columns], columns, np.cumsum(new_quality) - 1
+
+
+def unpruned_row_maxima(p, q, columns, last_column):
+    """Reference row maxima: the monotone search without the block bound.
+
+    Every row of ``M[t][c] = (p[t] - q[c]) * (t - columns[c] + 1)`` over
+    ``c <= last_column[t]`` is scanned, each pass taking the middle row of
+    every pending block over its column range.  Returns the row maxima,
+    the rightmost maximizing columns and the number of entries evaluated.
+    """
+    n = p.size
+    row_max = np.empty(n)
+    row_arg = np.empty(n, dtype=np.int64)
+    entries = 0
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, n - 1, dtype=np.int64)
+    lo_col = np.zeros(1, dtype=np.int64)
+    hi_col = last_column[-1:].copy()
+    while lo.size:
+        mid = (lo + hi) >> 1
+        lengths = np.minimum(hi_col, last_column[mid]) - lo_col + 1
+        starts = np.cumsum(lengths) - lengths
+        total = int(starts[-1] + lengths[-1])
+        entries += total
+        col = np.arange(total) - np.repeat(starts - lo_col, lengths)
+        values = (np.repeat(p[mid], lengths) - q[col]) * (
+            np.repeat(mid + 1, lengths) - columns[col]
+        )
+        peak = np.maximum.reduceat(values, starts)
+        hits = np.flatnonzero(values == np.repeat(peak, lengths))
+        arg = col[hits[np.searchsorted(hits, starts + lengths) - 1]]
+        row_max[mid] = peak
+        row_arg[mid] = arg
+        above, below = lo < mid, mid < hi
+        lo, hi, lo_col, hi_col = (
+            np.concatenate((lo[above], mid[below] + 1)),
+            np.concatenate((mid[above] - 1, hi[below])),
+            np.concatenate((lo_col[above], arg[below])),
+            np.concatenate((arg[above], hi_col[below])),
+        )
+    return row_max, row_arg, entries

@@ -48,6 +48,7 @@ def test_sweep_stats_fields():
         "appended",
         "duplicate_skips",
         "entries",
+        "rows_pruned",
         "certificate_pushes",
     ]
 

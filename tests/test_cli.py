@@ -76,7 +76,7 @@ class TestRun:
             "max_ppu": 2.0,
             "pruned_customers": 0,
         }
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["diagnostics"]["events"] == 2
         market, _ = load_market(two_customer_csv)
         _, stats = pd.solve_exact_1d_with_stats(market)
@@ -84,6 +84,7 @@ class TestRun:
             "events": 2,
             "candidates_appended": 2,
             "entries": stats.entries,
+            "rows_pruned": stats.rows_pruned,
         }
         assert stats.entries >= 2
 
@@ -208,6 +209,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "customer 0: price: integer too large for a float" in err
 
+    def test_integer_past_int_digit_limit_is_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"dim": 1, "customers": [{"price": 1%s, "qualities": [1]}]}' % ("0" * 5000)
+        )
+        code = main(["solve", "--input", str(path), "--algorithm", "exact1d"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: customer 0: price: integer too large for a float (5001 digits)\n"
+        )
+
     def test_bruteforce_float_market_reverifies(self, tmp_path, capsys):
         # brute force once summed this margin as ((p - q1) - q2) - q3, one
         # ulp off evaluate's p - (q1 + q2 + q3), and failed re-verification
@@ -331,6 +344,7 @@ class TestBench:
             )
             _, stats = pd.solve_exact_1d_with_stats(market)
             assert r["entries"] == stats.entries
+            assert r["rows_pruned"] == stats.rows_pruned
 
     def test_arrangement_bench_smoke(self, capsys):
         code = main(

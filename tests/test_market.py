@@ -22,6 +22,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             pd.Customer(1.0, (1.0, float("nan")))
 
+    def test_integers_past_float_range_are_value_errors(self):
+        # float() of such an integer raises OverflowError, not ValueError
+        cases = ((10**400, (1,)), (1, (10**400,)), (1, (2, -(10**400))))
+        for cls in (pd.Customer, pd.Product):
+            for price, qualities in cases:
+                with pytest.raises(ValueError, match="too large for a float"):
+                    cls(price, qualities)
+
     def test_product_mirrors_customer_validation(self):
         with pytest.raises(ValueError):
             pd.Product(float("-inf"), (0.0,))

@@ -111,6 +111,10 @@ MALFORMED = [
      "customer 1: price: integer too large for a float (401 digits)"),
     ("json", _json(OK, '{"price": 9, "qualities": [1, -%s]}' % ("9" * 320)),
      "customer 1: quality 2: integer too large for a float (320 digits)"),
+    # past int()'s 4300-digit limit, json.loads itself once raised a plain
+    # ValueError
+    ("json", _json(OK, '{"price": 1%s, "qualities": [1, 2]}' % ("0" * 5000)),
+     "customer 1: price: integer too large for a float (5001 digits)"),
 ]
 
 

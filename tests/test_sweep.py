@@ -5,7 +5,8 @@ import pytest
 
 import productdesign as pd
 
-from conftest import market_of
+from conftest import event_arrays, float_market, market_of, unpruned_row_maxima
+from productdesign import sweep
 
 
 def direct_scan_report(market):
@@ -156,6 +157,63 @@ class TestSolveExact1d:
         assert pd.solve_exact_1d(m).profit == pd.brute_force_optimum(m).profit == 6.0
 
 
+def assert_matches_unpruned(market):
+    """The pruned search against the unpruned one: the same report, the
+    same maximum and argmax on every searched row, and no more entries."""
+    arrays = event_arrays(market)
+    row_max, row_arg, entries, pruned = sweep._row_maxima(*arrays)
+    ref_max, ref_arg, ref_entries = unpruned_row_maxima(*arrays)
+    searched = np.isfinite(row_max)
+    assert pruned == market.prices.size - int(searched.sum())
+    assert np.array_equal(row_max[searched], ref_max[searched])
+    assert np.array_equal(row_arg[searched], ref_arg[searched])
+    assert entries <= ref_entries
+    p, q = arrays[0], arrays[1]
+    best_row = int(np.argmax(ref_max))
+    if ref_max[best_row] > 0.0:
+        product = pd.Product(float(p[best_row]), (float(q[ref_arg[best_row]]),))
+        expected = pd.evaluate(market, product)
+    else:
+        expected = pd.NO_PROFITABLE_PRODUCT
+    report, stats = pd.solve_exact_1d_with_stats(market)
+    assert report == expected
+    assert (stats.entries, stats.rows_pruned) == (entries, pruned)
+    return stats
+
+
+class TestBlockPruning:
+    """Dropping row blocks whose bound is below the running best changes
+    neither the report nor any searched row, and only removes work."""
+
+    def test_matches_unpruned_search_on_criterion8_markets(self):
+        n = 20_000
+        for seed in range(4):
+            m = pd.random_pareto_market(n, 1, seed=seed, value_range=(0, 20 * n))
+            stats = assert_matches_unpruned(m)
+            # on this distribution the bound leaves only a few hundred rows
+            assert stats.rows_pruned >= 0.95 * n, f"seed {seed}"
+
+    def test_matches_unpruned_search_on_tie_heavy_markets(self):
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            assert_matches_unpruned(tie_heavy_market(rng))
+        for _ in range(100):
+            assert_matches_unpruned(float_market(rng, 60, 1, ties=True))
+
+    def test_higher_priced_row_that_only_ties_is_kept(self):
+        # events (5,1), (3,0), (1,0): the first pass scans row 1, whose
+        # best entry (3 - 1) * 2 = 4 at quality 1 becomes the running best;
+        # row 0's block then has bound (5 - 1) * 1 = 4, a tie, and row 0
+        # is the first row holding the maximum.  Row 2's block has bound
+        # (1 - 0) * 3 = 3, so row 2 is the only row pruned.
+        m = market_of((5, [1]), (3, [0]), (1, [0]))
+        rep, stats = pd.solve_exact_1d_with_stats(m, check_invariants=True)
+        assert rep.product == pd.Product(5, (1,)) and rep.profit == 4.0
+        assert rep == direct_scan_report(m)[0]
+        assert stats.rows_pruned == 1
+        assert_matches_unpruned(m)
+
+
 class TestSweepAccounting:
     def test_counts_within_bounds(self):
         m = pd.random_pareto_market(5000, 1, seed=3, value_range=(0, 10**6))
@@ -166,9 +224,10 @@ class TestSweepAccounting:
         assert stats.appended == distinct  # each quality enters exactly once
         assert stats.appended + stats.duplicate_skips == n
         # each of the ceil(log2(n + 1)) recursion levels scans at most one
-        # entry per column plus one per row
+        # entry per column plus one per row; a pruned row scans nothing
         levels = math.ceil(math.log2(n + 1))
-        assert n <= stats.entries <= (n + stats.appended) * levels
+        assert 0 <= stats.rows_pruned < n
+        assert n - stats.rows_pruned <= stats.entries <= (n + stats.appended) * levels
 
     def test_invariant_checked_run(self):
         m = pd.random_pareto_market(300, 1, seed=5, value_range=(0, 10**5))
