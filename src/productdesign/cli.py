@@ -34,7 +34,7 @@ from .market import (
 from .simplices import arrangement_stats, depth_controlled_family
 from .sweep import solve_exact_1d_with_stats
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 
 
@@ -88,12 +88,12 @@ def _result_section(report) -> dict:
 
 def run(config: RunConfig) -> dict:
     """Execute one solve and build the report dict (result re-verified)."""
-    market, pruned = load_market(config.input, config.prune)
     if config.algorithm == "approx":
         if config.epsilon is None:
             raise ValueError("--epsilon is required for the approx algorithm")
     elif config.epsilon is not None:
         raise ValueError(f"--epsilon only applies to approx, not {config.algorithm}")
+    market, pruned = load_market(config.input, config.prune)
 
     start = time.perf_counter()
     diagnostics: dict
@@ -101,7 +101,7 @@ def run(config: RunConfig) -> dict:
         report, stats = solve_exact_1d_with_stats(market)
         diagnostics = {
             "events": stats.events,
-            "candidates_appended": stats.appended,
+            "columns": stats.appended,
             "entries": stats.entries,
             "rows_pruned": stats.rows_pruned,
         }

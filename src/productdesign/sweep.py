@@ -1,12 +1,24 @@
 """Exact single-quality solver: row maxima of the event matrix by monotone search.
 
 Customers are taken as events in decreasing price order (ties by
-decreasing quality).  Because the market is Pareto-consistent, the event
-qualities are then nonincreasing, so a product priced at event ``t``'s
-price with event ``j``'s quality (``j <= t``) is considered by at least
-the events ``j`` through ``t``; when ``j`` is the first event of its
-quality, those are all the considering customers up to ``t``.  The
-optimum is therefore the largest entry of
+decreasing quality).  In a Pareto-consistent market no customer pays
+strictly less than another yet demands strictly more, so along that order
+the qualities never increase either: the event prices are the price
+column sorted in decreasing order, and the event qualities are the
+quality column sorted the same way, each on its own, so two plain sorts
+build the events.  Only values that compare equal can end up in another
+order than a joint sort would give them, and of those only ``-0.0`` and
+``0.0`` differ, so the reported price and quality are normalized to
+``0.0``.  A market built
+with ``validate=False`` must already be Pareto-consistent: on any other
+market the two sorted columns pair prices with other customers'
+qualities.
+
+Along the events, a product priced at event ``t``'s price with event
+``j``'s quality (``j <= t``) is considered by at least the events ``j``
+through ``t``; when ``j`` is the first event of its quality, those are
+all the considering customers up to ``t``.  The optimum is therefore the
+largest entry of
 
     M[t][j] = (p_t - q_j) * (t - j + 1),    j <= t,
 
@@ -84,6 +96,10 @@ def solve_exact_1d(market: Market, *, check_invariants: bool = False) -> ProfitR
 
     Returns a report whose profit equals the exhaustive grid optimum; when
     no product earns a positive profit the no-profit report is returned.
+    The events are the price column and the quality column, each sorted
+    in decreasing order on its own: in a Pareto-consistent market that is
+    the order of price, then quality, descending.  A market built with
+    ``validate=False`` must therefore already be Pareto-consistent.
     ``check_invariants`` compares every row maximum with a direct scan of
     its row (quadratic — for tests only).
     """
@@ -98,17 +114,19 @@ def solve_exact_1d_with_stats(
     if market.dim != 1:
         raise DimensionMismatchError("the sweep solver handles dim=1 markets only")
     n = len(market)
-    pr = market.prices
-    ql = market.qualities[:, 0]
-    order = np.lexsort((-ql, -pr))
-    p = pr[order]
-    q = ql[order]
+    # the event order, column by column (see the module docstring)
+    p = np.sort(market.prices)[::-1]
+    q = np.sort(market.qualities[:, 0])[::-1]
     new_quality = np.concatenate(([True], q[1:] != q[:-1]))
     columns = np.flatnonzero(new_quality)  # first event of each quality
-    last_column = np.cumsum(new_quality) - 1  # per row: last column at or before it
+    # per row: last column at or before it (an explicit dtype takes numpy's
+    # fast accumulate loop; a bool cumsum without one is about 3x slower)
+    last_column = np.cumsum(new_quality, dtype=np.int64)
+    last_column -= 1
+    q = q[columns]  # column qualities; event t's quality is q[last_column[t]]
 
     row_max, row_arg, entries, rows_pruned = _row_maxima(
-        p, q[columns], columns, last_column
+        p, q, columns, last_column
     )
     stats = SweepStats(
         events=n,
@@ -118,7 +136,7 @@ def solve_exact_1d_with_stats(
         rows_pruned=rows_pruned,
     )
     if check_invariants:
-        _check_row_maxima(p, q, row_max)
+        _check_row_maxima(p, q[last_column], row_max)
 
     # the first (highest-priced) row holding the maximum, and its
     # rightmost (lowest-quality) maximizing column
@@ -126,8 +144,10 @@ def solve_exact_1d_with_stats(
     best_profit = float(row_max[best_row])
     if not best_profit > 0.0:
         return NO_PROFITABLE_PRODUCT, stats
-    best_quality = float(q[columns[row_arg[best_row]]])
-    report = evaluate(market, Product(float(p[best_row]), (best_quality,)))
+    # + 0.0 turns -0.0 into 0.0: the sorts may order equal zeros either way
+    best_price = float(p[best_row]) + 0.0
+    best_quality = float(q[row_arg[best_row]]) + 0.0
+    report = evaluate(market, Product(best_price, (best_quality,)))
     if check_invariants and report.profit != best_profit:
         raise AssertionError(
             f"searched profit {best_profit} disagrees with "
@@ -164,6 +184,9 @@ def _row_maxima(
     hi = np.full(1, n - 1, dtype=np.int64)
     lo_col = np.zeros(1, dtype=np.int64)
     hi_col = last_column[-1:].copy()
+    # counts as float - float: exact below 2**53, so the products are the
+    # ones an integer count would give
+    column_at = columns.astype(float)
     while lo.size:
         mid = (lo + hi) >> 1
         lengths = np.minimum(hi_col, last_column[mid]) - lo_col + 1
@@ -171,13 +194,16 @@ def _row_maxima(
         total = int(starts[-1] + lengths[-1])
         entries += total
         searched += mid.size
-        col = np.arange(total) - np.repeat(starts - lo_col, lengths)
-        values = (np.repeat(p[mid], lengths) - q[col]) * (
-            np.repeat(mid + 1, lengths) - columns[col]
-        )
+        col = np.repeat(lo_col - starts, lengths)
+        col += np.arange(total)
+        values = np.repeat(p.take(mid), lengths)
+        values -= q.take(col)
+        count = np.repeat(mid + 1.0, lengths)
+        count -= column_at.take(col)
+        values *= count
         peak = np.maximum.reduceat(values, starts)
         hits = np.flatnonzero(values == np.repeat(peak, lengths))
-        arg = col[hits[np.searchsorted(hits, starts + lengths) - 1]]
+        arg = col.take(hits.take(np.searchsorted(hits, starts + lengths) - 1))
         row_max[mid] = peak
         row_arg[mid] = arg
         best = max(best, float(peak.max()))

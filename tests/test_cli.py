@@ -76,13 +76,13 @@ class TestRun:
             "max_ppu": 2.0,
             "pruned_customers": 0,
         }
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert report["diagnostics"]["events"] == 2
         market, _ = load_market(two_customer_csv)
         _, stats = pd.solve_exact_1d_with_stats(market)
         assert report["diagnostics"] == {
             "events": 2,
-            "candidates_appended": 2,
+            "columns": 2,
             "entries": stats.entries,
             "rows_pruned": stats.rows_pruned,
         }
@@ -173,6 +173,35 @@ class TestMainExitCodes:
         )
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    def test_missing_epsilon_is_2(self, two_customer_csv, capsys):
+        code = main(["solve", "--input", two_customer_csv, "--algorithm", "approx"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --epsilon is required for the approx algorithm\n"
+        )
+
+    def test_stray_epsilon_is_2_before_the_file_is_read(self, tmp_path, capsys):
+        # the input does not exist: the pairing error must come first
+        missing = str(tmp_path / "missing.csv")
+        code = main(["solve", "--input", missing, "--algorithm", "exact1d",
+                     "--epsilon", "0.25"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --epsilon only applies to approx, not exact1d\n"
+        )
+
+    def test_exact1d_report_shows_positive_zero(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("price,q1\n2,-0.0\n2,0\n-0.0,-1\n0,-1\n")
+        code = main(["solve", "--input", str(path), "--algorithm", "exact1d"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["result"]["product"] == {
+            "price": 2.0,
+            "qualities": [0.0],
+        }
+        assert "-0.0" not in out
 
     def test_validation_failure_is_2(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -42,6 +43,23 @@ def tie_heavy_market(rng):
     )
 
 
+def equal_price_market(rng):
+    """Small market on three price levels with many customers per level,
+    so most rows tie on price; negative margins included, pruned."""
+    n = int(rng.integers(2, 41))
+    p = rng.integers(0, 3, n) * 3.0 + 4.0
+    q = p + rng.integers(-6, 2, n)
+    return pd.prune_dominated(
+        [pd.Customer(float(pp), (float(qq),)) for pp, qq in zip(p, q)]
+    )
+
+
+def shuffled(market, rng):
+    """The same customers in a random row order."""
+    perm = rng.permutation(len(market))
+    return pd.Market.from_arrays(market.prices[perm], market.qualities[perm])
+
+
 class TestSweepEvents:
     """The solver's event order: price descending, then quality descending.
 
@@ -66,6 +84,54 @@ class TestSweepEvents:
     def test_rejects_multidimensional(self):
         with pytest.raises(pd.DimensionMismatchError):
             pd.solve_exact_1d_with_stats(pd.random_pareto_market(4, 2, seed=0))
+
+    def test_two_sorts_give_the_joint_order(self, monkeypatch):
+        # the solver sorts the price and the quality column each on its
+        # own; on a Pareto-consistent market the search must still get the
+        # arrays of the joint (price, quality) order, in any row order
+        seen = []
+        search = sweep._row_maxima
+
+        def spy(*arrays):
+            seen.append(arrays)
+            return search(*arrays)
+
+        monkeypatch.setattr(sweep, "_row_maxima", spy)
+        rng = np.random.default_rng(23)
+        markets = [tie_heavy_market(rng) for _ in range(150)]
+        markets += [equal_price_market(rng) for _ in range(150)]
+        markets += [float_market(rng, 60, 1) for _ in range(100)]
+        for i, market in enumerate(markets):
+            expected = event_arrays(market)
+            for m in (market, shuffled(market, rng)):
+                seen.clear()
+                pd.solve_exact_1d(m)
+                (got,) = seen
+                assert len(got) == len(expected)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, b), f"market {i}"
+
+
+class TestSignedZeros:
+    """``-0.0`` and ``0.0`` compare equal, so the sorts may place either
+    customer's zero in the event arrays; the report shows ``0.0``."""
+
+    @pytest.mark.parametrize(
+        "rows, product, profit",
+        [
+            # (2, 0) earns 2 from each price-2 customer
+            ([(2.0, 0.0), (2.0, -0.0), (0.0, -1.0), (-0.0, -1.0)], "2.0 0.0", 4.0),
+            # (0, -3) earns 3 from each price-0 customer
+            ([(1.0, 0.0), (1.0, -0.0), (0.0, -3.0), (-0.0, -3.0)], "0.0 -3.0", 6.0),
+        ],
+    )
+    def test_zero_is_reported_as_positive_zero(self, rows, product, profit):
+        for order in itertools.permutations(rows):
+            m = market_of(*((p, [q]) for p, q in order))
+            rep = pd.solve_exact_1d(m)
+            assert f"{rep.product.price!r} {rep.product.qualities[0]!r}" == product
+            assert rep.profit == profit == pd.brute_force_optimum(m).profit
+            assert rep == direct_scan_report(m)[0]
 
 
 class TestSolveExact1d:
@@ -136,6 +202,11 @@ class TestSolveExact1d:
         # rightmost-column tie-break
         rng = np.random.default_rng(4)
         markets += [tie_heavy_market(rng) for _ in range(400)]
+        markets += [equal_price_market(rng) for _ in range(100)]
+        markets += [float_market(rng, 80, 1, ties=k % 2 == 1) for k in range(100)]
+        # random_pareto_market emits its rows in event order already, and
+        # the solver must not depend on the row order
+        markets += [shuffled(m, rng) for m in markets]
         for i, m in enumerate(markets):
             expected, best = direct_scan_report(m)
             rep = pd.solve_exact_1d(m)
