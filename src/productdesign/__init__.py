@@ -48,7 +48,6 @@ from .market import (
 from .simplices import (
     ArrangementStats,
     DepthResult,
-    IntersectionIndex,
     SimplexArray,
     SimplexHomothet,
     arrangement_stats,
@@ -68,7 +67,6 @@ __all__ = [
     "DimensionMismatchError",
     "EmptyMarketError",
     "GuardExceededError",
-    "IntersectionIndex",
     "LadderStats",
     "LevelOutcome",
     "LevelSchedule",

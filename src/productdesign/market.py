@@ -255,7 +255,7 @@ def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     group_max = np.maximum.reduceat(qs, starts)
     # max requirement among strictly cheaper customers, per price group
     prev_max = np.r_[-np.inf, np.maximum.accumulate(group_max)[:-1]]
-    gid = np.cumsum(new_group) - 1
+    gid = np.cumsum(new_group, dtype=np.int64) - 1
     return order, qs < prev_max[gid]
 
 

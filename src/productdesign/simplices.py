@@ -1,4 +1,4 @@
-"""Corner-form simplex homothets: predicates, intersection index, depth.
+"""Corner-form simplex homothets: predicates, arrangement counts, depth.
 
 Every region here is a translated and scaled copy of one fixed shape, the
 corner simplex ``{x : x_k >= a_k for all k, sum_k (x_k - a_k) <= s}`` with
@@ -36,19 +36,20 @@ structures are immutable once built and queries are pure.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, GuardExceededError
 
-# Pairs expanded plus stab events allowed in one exact deepest-point query.
+# Pairs expanded plus stab events allowed in one exact deepest-point query;
+# it also bounds the candidate pairs of one `arrangement_stats` query.
 EXACT_DEPTH_GUARD = 300_000_000
 
-# Pairs expanded at once; larger expansions run in consecutive key windows,
-# which bounds the query's peak memory (about 100 bytes per pair).
+# Pairs expanded at once; larger expansions run in consecutive key windows
+# (pair windows in `arrangement_stats`), which bounds a query's peak memory
+# (about 100 bytes per pair).
 _PAIR_BUDGET = 1 << 17
 
 # Grids with fewer cells use their mixed-radix prefix keys as row numbers
@@ -179,110 +180,6 @@ def depth_at(simplices: Sequence[SimplexHomothet], point: Sequence[float]) -> in
 
 
 # ---------------------------------------------------------------------------
-# Intersection reporting index
-# ---------------------------------------------------------------------------
-
-
-class _Layer:
-    """One nested search layer: elements sorted by one derived key.
-
-    The first ``d`` keys are the per-axis extent tops ``a_k + s`` (queried
-    with a lower bound) and the last key is the extent bottom ``sum(a)``
-    along the diagonal (queried with an upper bound).  Non-final layers
-    carry a balanced segment hierarchy whose every node owns a child layer
-    over that node's elements, so a one-sided query decomposes into
-    O(log n) child layers.
-    """
-
-    __slots__ = ("keys", "ids", "last", "nodes")
-
-    def __init__(self, ids: list[int], keymat: list[tuple[float, ...]], depth: int):
-        ids = sorted(ids, key=lambda i: keymat[i][depth])
-        self.keys = [keymat[i][depth] for i in ids]
-        self.ids = ids
-        self.last = depth + 1 == len(keymat[0])
-        self.nodes: dict[tuple[int, int], _Layer] = {}
-        if not self.last:
-            self._build(0, len(ids), keymat, depth + 1)
-
-    def _build(self, lo: int, hi: int, keymat, depth: int):
-        self.nodes[(lo, hi)] = _Layer(self.ids[lo:hi], keymat, depth)
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            self._build(lo, mid, keymat, depth)
-            self._build(mid, hi, keymat, depth)
-
-    def query(self, bounds: tuple[float, ...], depth: int, out: list[int]):
-        if self.last:
-            # final key: diagonal bottoms at most the probe's cap
-            out.extend(self.ids[: bisect_right(self.keys, bounds[depth])])
-            return
-        # suffix of elements whose extent top reaches the probe's corner
-        pos = bisect_left(self.keys, bounds[depth])
-        self._descend(0, len(self.ids), pos, bounds, depth, out)
-
-    def _descend(self, lo: int, hi: int, pos: int, bounds, depth: int, out):
-        if pos <= lo:
-            self.nodes[(lo, hi)].query(bounds, depth + 1, out)
-            return
-        if pos >= hi:
-            return
-        mid = (lo + hi) // 2
-        self._descend(lo, mid, pos, bounds, depth, out)
-        self._descend(mid, hi, pos, bounds, depth, out)
-
-
-class IntersectionIndex:
-    """Static index reporting, for a probe, every stored intersecting simplex.
-
-    Each stored homothet becomes a point with ``d + 1`` derived
-    coordinates — one per facet normal of the common shape: the top of its
-    extent along each axis and the bottom of its extent along the
-    diagonal.  A probe can only intersect elements whose axis extents
-    reach the probe's corner and whose diagonal extent starts at or below
-    the probe's cap, which a nested one-sided layer per normal resolves
-    with logarithmic fan-out.  Those conditions are necessary but not
-    sufficient, so survivors are confirmed with the exact pairwise
-    predicate before being reported; reported sets are exact in every
-    dimension.
-    """
-
-    def __init__(self, simplices: Iterable[SimplexHomothet]):
-        sims = list(simplices)
-        corners, sizes = _as_arrays(sims)
-        self._simplices = sims
-        self._dim = corners.shape[1]
-        keymat = [
-            tuple(corners[i, k] + sizes[i] for k in range(self._dim))
-            + (float(corners[i].sum()),)
-            for i in range(len(sims))
-        ]
-        self._root = _Layer(list(range(len(sims))), keymat, 0)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def __len__(self) -> int:
-        return len(self._simplices)
-
-    def query_indices(self, probe: SimplexHomothet) -> list[int]:
-        """Indices (in storage order) of stored simplices intersecting the probe."""
-        if probe.dim != self._dim:
-            raise DimensionMismatchError(
-                f"probe has dimension {probe.dim}, index has {self._dim}"
-            )
-        bounds = tuple(probe.corner) + (probe.sum_cap,)
-        raw: list[int] = []
-        self._root.query(bounds, 0, raw)
-        sims = self._simplices
-        return sorted(i for i in raw if intersects(sims[i], probe))
-
-    def query(self, probe: SimplexHomothet) -> list[SimplexHomothet]:
-        return [self._simplices[i] for i in self.query_indices(probe)]
-
-
-# ---------------------------------------------------------------------------
 # Arrangement statistics
 # ---------------------------------------------------------------------------
 
@@ -296,69 +193,90 @@ class ArrangementStats:
     pairwise_intersections: int
 
 
-def _crossings_2d(a: SimplexHomothet, b: SimplexHomothet) -> int:
-    """Crossing points between the two triangles' boundary segments.
-
-    Each triangle contributes a horizontal, a vertical, and a diagonal
-    edge; same-orientation edges are parallel and contribute nothing.
-    Counts facet-pair incidences, so a point where several facet pairs
-    meet is counted once per pair.
-    """
-    count = 0
-    for first, second in ((a, b), (b, a)):
-        fx, fy = first.corner
-        sx, sy = second.corner
-        # horizontal edge of `first` vs vertical edge of `second`
-        if fx <= sx <= fx + first.size and sy <= fy <= sy + second.size:
-            count += 1
-        cap = second.sum_cap
-        # horizontal edge of `first` vs diagonal edge of `second`
-        x = cap - fy
-        if fx <= x <= fx + first.size and sx <= x <= sx + second.size:
-            count += 1
-        # vertical edge of `first` vs diagonal edge of `second`
-        y = cap - fx
-        if fy <= y <= fy + first.size and sy <= y <= sy + second.size:
-            count += 1
-    return count
-
-
 def arrangement_stats(
     simplices: Sequence[SimplexHomothet], *, count_vertices: bool = True
 ) -> ArrangementStats:
-    """Insert homothets by decreasing size and tally boundary interactions.
+    """Count intersecting pairs and, in the plane, their boundary crossings.
 
-    Every insertion queries the intersection index for its already-placed
-    (larger or equal, earlier) neighbors, so each intersecting pair is
-    counted once; for ``d == 2`` the pair's boundary crossing points are
-    accumulated as the arrangement's vertex count.  Vertex counting is
-    only implemented in the plane — pass ``count_vertices=False`` for
-    other dimensions.  Max depth is computed exactly.
+    Pairs are tested with the float predicate of :func:`intersects`, so the
+    pair count equals that predicate summed over all pairs.  For ``d == 2``
+    every intersecting pair adds its boundary crossing points (a
+    horizontal, a vertical and a diagonal edge per triangle; parallel edges
+    add nothing, and a point where several facet pairs meet counts once per
+    pair) as the arrangement's vertex count.  Vertex counting is only
+    implemented in the plane — pass ``count_vertices=False`` for other
+    dimensions.  Max depth is computed exactly.
+
+    Homothets sorted by corner x are paired with the later ones whose
+    corner x lies within their padded x-extent; a query with more of those
+    candidate pairs than ``EXACT_DEPTH_GUARD`` raises
+    :class:`GuardExceededError` before they are expanded, and at most
+    ``_PAIR_BUDGET`` of them are expanded at once.
     """
-    sims = list(simplices)
-    corners, sizes = _as_arrays(sims)
+    corners, sizes = _as_arrays(simplices)
     d = corners.shape[1]
     if count_vertices and d != 2:
         raise GuardExceededError(
             "vertex counting is implemented for d=2 only; "
             "use count_vertices=False for other dimensions"
         )
-    order = sorted(range(len(sims)), key=lambda i: (-sizes[i], i))
-    rank = {idx: pos for pos, idx in enumerate(order)}
-    index = IntersectionIndex(sims)
+    order = np.argsort(corners[:, 0], kind="stable")
+    cols = [corners[order, k] for k in range(d)]
+    size = sizes[order]
+    cap = sum(cols) + size  # SimplexHomothet.sum_cap, summed in axis order
+    # A pair meets only if the later corner's x is within the earlier
+    # one's x-extent: the meet corner's sum is at least that x plus the
+    # earlier corner's other coordinates, and the cap is at most its own
+    # x + s plus the same.  Rounding moves each side of the float predicate
+    # by a few spacings of the largest partial sum, so padding the extent
+    # by more than that keeps every pair the predicate can accept.
+    scale = np.abs(corners).max(axis=0).sum() + sizes.max()
+    pad = 4 * (d + 2) * float(np.spacing(scale))
+    x = cols[0]
+    cnt = np.searchsorted(x, x + size + pad, side="right") - np.arange(1, x.size + 1)
+    first = np.cumsum(cnt) - cnt  # number of the row's first pair
+    total = int(first[-1] + cnt[-1])
+    if total > EXACT_DEPTH_GUARD:
+        raise GuardExceededError(
+            f"arrangement candidate pairs {total} exceed the "
+            f"{EXACT_DEPTH_GUARD} guard"
+        )
     pairwise = 0
     vertices = 0
-    for pos, i in enumerate(order):
-        earlier = [j for j in index.query_indices(sims[i]) if rank[j] < pos]
-        pairwise += len(earlier)
+    for lo in range(0, total, _PAIR_BUDGET):
+        t = np.arange(lo, min(lo + _PAIR_BUDGET, total))
+        i = np.searchsorted(first, t, side="right") - 1
+        j = i + 1 + t - first[i]
+        meet = sum(np.maximum(col[i], col[j]) for col in cols)  # as intersects
+        hit = meet <= np.minimum(cap[i], cap[j])
+        i, j = i[hit], j[hit]
+        pairwise += i.size
         if count_vertices:
-            for j in earlier:
-                vertices += _crossings_2d(sims[i], sims[j])
+            vertices += _edge_crossings(cols, size, cap, i, j)
     return ArrangementStats(
         vertex_count=vertices,
-        max_depth=deepest_point_exact(sims).depth,
+        max_depth=deepest_point_exact(SimplexArray(corners, sizes)).depth,
         pairwise_intersections=pairwise,
     )
+
+
+def _edge_crossings(cols, size, cap, i, j) -> int:
+    """Boundary crossings of the plane pairs ``(i, j)``: in both orders,
+    the first triangle's horizontal edge against the second's vertical
+    edge and diagonal, and its vertical edge against the diagonal."""
+
+    def on(v, lo, s):  # v in [lo, lo + s]
+        return (lo <= v) & (v <= lo + s)
+
+    count = 0
+    for f, s in ((i, j), (j, i)):
+        fx, fy, fs = cols[0][f], cols[1][f], size[f]
+        sx, sy, ss = cols[0][s], cols[1][s], size[s]
+        x, y = cap[s] - fy, cap[s] - fx  # f's edge lines meet s's diagonal
+        count += np.count_nonzero(on(sx, fx, fs) & on(fy, sy, ss))
+        count += np.count_nonzero(on(x, fx, fs) & on(x, sx, ss))
+        count += np.count_nonzero(on(y, fy, fs) & on(y, sy, ss))
+    return int(count)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,44 @@ def customers_of(*pairs) -> list[pd.Customer]:
     return [pd.Customer(p, tuple(q)) for p, q in pairs]
 
 
+def edge_crossings(a, b) -> list[tuple[float, float]]:
+    """Crossing points of plane triangle ``a``'s horizontal and vertical
+    edges with ``b``'s vertical and diagonal edges, by scalar float tests.
+
+    Same-orientation edges are parallel and never counted; the other three
+    edge pairs come from ``edge_crossings(b, a)``.
+    """
+    ax, ay = a.corner
+    bx, by = b.corner
+    pts = []
+    # horizontal edge of a (y = ay) x vertical edge of b (x = bx)
+    if ax <= bx <= ax + a.size and by <= ay <= by + b.size:
+        pts.append((bx, ay))
+    cap = bx + by + b.size
+    # horizontal edge of a x diagonal edge of b
+    x = cap - ay
+    if ax <= x <= ax + a.size and bx <= x <= bx + b.size:
+        pts.append((x, ay))
+    # vertical edge of a x diagonal edge of b
+    y = cap - ax
+    if ay <= y <= ay + a.size and by <= y <= by + b.size:
+        pts.append((ax, y))
+    return pts
+
+
+def arrangement_oracle(sims) -> tuple[int, int]:
+    """All-pairs reference for ``arrangement_stats``: the pairs that
+    ``intersects`` accepts and, in the plane, their boundary crossings."""
+    sims = list(sims)
+    pairs = vertices = 0
+    for a, b in itertools.combinations(sims, 2):
+        if pd.intersects(a, b):
+            pairs += 1
+            if a.dim == 2:
+                vertices += len(edge_crossings(a, b)) + len(edge_crossings(b, a))
+    return pairs, vertices
+
+
 def vertex_oracle_depth(sims) -> int:
     """Independent deepest-point oracle for plane homothets.
 
@@ -23,20 +61,7 @@ def vertex_oracle_depth(sims) -> int:
     """
     pts = [s.corner for s in sims]
     for a, b in itertools.permutations(sims, 2):
-        ax, ay = a.corner
-        bx, by = b.corner
-        # horizontal edge of a (y = ay) x vertical edge of b (x = bx)
-        if ax <= bx <= ax + a.size and by <= ay <= by + b.size:
-            pts.append((bx, ay))
-        cap = bx + by + b.size
-        # horizontal edge of a x diagonal edge of b
-        x = cap - ay
-        if ax <= x <= ax + a.size and bx <= x <= bx + b.size:
-            pts.append((x, ay))
-        # vertical edge of a x diagonal edge of b
-        y = cap - ax
-        if ay <= y <= ay + a.size and by <= y <= by + b.size:
-            pts.append((ax, y))
+        pts.extend(edge_crossings(a, b))
     corners = np.array([s.corner for s in sims])
     sizes = np.array([s.size for s in sims])
     arr = np.array(pts)

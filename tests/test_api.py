@@ -64,7 +64,6 @@ def test_simplices_defines_only_the_exact_depth_toolkit():
     assert defined == {
         "ArrangementStats",
         "DepthResult",
-        "IntersectionIndex",
         "SimplexArray",
         "SimplexHomothet",
         "arrangement_stats",

@@ -7,11 +7,13 @@ import productdesign as pd
 from productdesign import simplices
 from productdesign.simplices import EXACT_DEPTH_GUARD
 
-from conftest import grid_scan_deepest, vertex_oracle_depth
+from conftest import arrangement_oracle, grid_scan_deepest, vertex_oracle_depth
 
 S = pd.SimplexHomothet
 
 FAMILIES = ("integer", "float", "step", "zero_size", "duplicate")
+# plus a family whose sums round at every step, for the pair counts
+PAIR_FAMILIES = FAMILIES + ("huge",)
 
 
 def family_homothets(rng, family: str, n: int, d: int) -> pd.SimplexArray:
@@ -25,6 +27,10 @@ def family_homothets(rng, family: str, n: int, d: int) -> pd.SimplexArray:
     elif family == "step":  # 0.01 steps: sums that round
         corners = np.round(rng.uniform(0, 1, (n, d)), 2)
         sizes = np.round(rng.uniform(0, 0.5, n), 2)
+    elif family == "huge":  # x small, last axis near 2**52: sums round
+        corners = rng.uniform(0, 8, (n, d))
+        corners[:, -1] += 2.0**52
+        sizes = rng.uniform(0, 3, n)
     elif family == "zero_size":
         corners = rng.integers(0, 6, (n, d)).astype(float)
         sizes = np.zeros(n)
@@ -91,36 +97,6 @@ class TestIntersects:
             assert witness == pd.intersects(a, b)
 
 
-class TestIntersectionIndex:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_complete_and_exact(self, d):
-        sims = pd.random_homothets(500, d, seed=40 + d)
-        index = pd.IntersectionIndex(sims)
-        for probe in pd.random_homothets(40, d, seed=90 + d):
-            got = index.query_indices(probe)
-            want = [i for i, s in enumerate(sims) if pd.intersects(s, probe)]
-            assert got == want
-
-    def test_probe_equal_to_stored_is_reported(self):
-        sims = pd.random_homothets(50, 2, seed=1)
-        index = pd.IntersectionIndex(sims)
-        assert 7 in index.query_indices(sims[7])
-
-    def test_disjoint_probe_empty(self):
-        index = pd.IntersectionIndex([S((0, 0), 1), S((2, 2), 1)])
-        assert index.query(S((100, 100), 1)) == []
-
-    def test_query_returns_simplices(self):
-        stored = [S((0, 0), 1), S((2, 2), 1)]
-        index = pd.IntersectionIndex(stored)
-        assert index.query(S((0.5, 0.5), 1)) == [stored[0]]
-
-    def test_dimension_mismatch(self):
-        index = pd.IntersectionIndex([S((0, 0), 1)])
-        with pytest.raises(pd.DimensionMismatchError):
-            index.query_indices(S((0,), 1))
-
-
 class TestArrangementStats:
     def test_disjoint_pair(self):
         st = pd.arrangement_stats([S((0, 0), 1), S((5, 5), 1)])
@@ -160,6 +136,38 @@ class TestArrangementStats:
             sims = pd.random_homothets(30, 2, seed=seed, corner_range=(0, 5))
             st = pd.arrangement_stats(sims)
             assert st.max_depth == pd.deepest_point_exact(sims).depth
+
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_all_pairs_oracle(self, d, family):
+        rng = np.random.default_rng(200 + 10 * d + PAIR_FAMILIES.index(family))
+        sims = family_homothets(rng, family, 150, d)
+        st = pd.arrangement_stats(sims, count_vertices=d == 2)
+        pairs, vertices = arrangement_oracle(sims)
+        assert st.pairwise_intersections == pairs
+        assert st.vertex_count == vertices
+
+    def test_rounded_sums_count_like_intersects(self):
+        # x + s = 1 < x' before rounding; every sum rounds to 2**52 + 1
+        a = S((0.0, 2.0**52), 1.0)
+        b = S((1.0000000000000002, 2.0**52), 1.0)
+        assert pd.intersects(a, b)
+        st = pd.arrangement_stats([a, b])
+        assert st.max_depth == 2
+        assert st.pairwise_intersections == 1
+
+    def test_guard_trips_before_expanding(self, monkeypatch):
+        # one vertical line of unit triangles 10 apart: every one of the
+        # 3.1e8 pairs is a candidate and none intersects
+        n = 25_000
+        sims = pd.SimplexArray(np.c_[np.zeros(n), 10.0 * np.arange(n)], np.ones(n))
+
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("expanded past the guard")
+
+        monkeypatch.setattr(np, "maximum", no_expansion)
+        with pytest.raises(pd.GuardExceededError):
+            pd.arrangement_stats(sims)
 
 
 class TestSimplexArray:
