@@ -43,7 +43,6 @@ from .market import (
     ppu,
     prune_dominated,
     random_pareto_market,
-    validate_pareto,
 )
 from .simplices import (
     ArrangementStats,
@@ -53,7 +52,6 @@ from .simplices import (
     arrangement_stats,
     contains,
     deepest_point_exact,
-    depth_at,
     depth_controlled_family,
     intersects,
     random_homothets,
@@ -83,7 +81,6 @@ __all__ = [
     "brute_force_optimum",
     "contains",
     "deepest_point_exact",
-    "depth_at",
     "depth_controlled_family",
     "element_uniqueness_instance",
     "evaluate",
@@ -104,5 +101,4 @@ __all__ = [
     "solve_approx_detailed",
     "solve_exact_1d",
     "solve_exact_1d_with_stats",
-    "validate_pareto",
 ]

@@ -245,9 +245,9 @@ class Market:
 # ---------------------------------------------------------------------------
 
 
-def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable price order, and per sorted row whether some strictly cheaper
-    customer demands strictly more (one quality axis ``q``)."""
+def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Mask of the dominated customers for one quality axis ``q``: those
+    with a strictly cheaper customer who demands strictly more."""
     order = np.argsort(prices, kind="stable")
     ps, qs = prices[order], q[order]
     new_group = np.r_[True, ps[1:] != ps[:-1]]
@@ -256,7 +256,9 @@ def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     # max requirement among strictly cheaper customers, per price group
     prev_max = np.r_[-np.inf, np.maximum.accumulate(group_max)[:-1]]
     gid = np.cumsum(new_group, dtype=np.int64) - 1
-    return order, qs < prev_max[gid]
+    mask = np.zeros(prices.size, dtype=bool)
+    mask[order] = qs < prev_max[gid]
+    return mask
 
 
 def _dominators(prices: np.ndarray, qualities: np.ndarray, a: int) -> np.ndarray:
@@ -270,22 +272,12 @@ def _dominators(prices: np.ndarray, qualities: np.ndarray, a: int) -> np.ndarray
 def _pareto_witness(
     prices: np.ndarray, qualities: np.ndarray
 ) -> tuple[int, int] | None:
-    """One (dominated, dominating) index pair, or None if the set is valid.
-
-    For ``d == 1`` the dominated customer is the cheapest one flagged;
-    otherwise it is the lowest flagged index.  Its dominator is the lowest
-    index dominating it.
-    """
-    if qualities.shape[1] == 1:
-        order, flags = _dominated_1d(prices, qualities[:, 0])
-        if not flags.any():
-            return None
-        dominated = int(order[np.argmax(flags)])
-    else:
-        mask = _dominated_mask(prices, qualities)
-        if not mask.any():
-            return None
-        dominated = int(np.argmax(mask))
+    """One (dominated, dominating) index pair, or None if the set is valid:
+    the lowest dominated index and the lowest index dominating it."""
+    mask = _dominated_mask(prices, qualities)
+    if not mask.any():
+        return None
+    dominated = int(np.argmax(mask))
     return dominated, int(np.argmax(_dominators(prices, qualities, dominated)))
 
 
@@ -298,10 +290,7 @@ def _dominated_mask(prices: np.ndarray, qualities: np.ndarray) -> np.ndarray:
     """
     n, d = qualities.shape
     if d == 1:
-        mask = np.zeros(n, dtype=bool)
-        order, flags = _dominated_1d(prices, qualities[:, 0])
-        mask[order] = flags
-        return mask
+        return _dominated_1d(prices, qualities[:, 0])
     if d == 2:
         return _dominated_2d(prices, qualities[:, 0], qualities[:, 1])
     if n * n > PARETO_GUARD:
@@ -361,24 +350,6 @@ def _dominated_2d(prices: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndar
     return mask
 
 
-def validate_pareto(customers: Iterable[Customer]) -> list[tuple[int, int]]:
-    """List every (dominated, dominating) pair; empty means the set is valid.
-
-    Pair ``(i, j)`` is reported when customer ``j`` demands strictly more in
-    every quality than customer ``i`` while paying strictly less, which makes
-    customer ``i`` redundant in a saturated market.  Pairs come in order of
-    ``i``, then ``j``.  One pass over the market per dominated customer.
-    """
-    prices, qualities = _customer_arrays(
-        customers, "cannot validate an empty customer list"
-    )
-    pairs: list[tuple[int, int]] = []
-    for a in np.flatnonzero(_dominated_mask(prices, qualities)).tolist():
-        dominating = _dominators(prices, qualities, a)
-        pairs.extend((a, int(b)) for b in np.flatnonzero(dominating))
-    return pairs
-
-
 _PRUNE_EMPTY = "cannot prune an empty customer list"
 
 
@@ -425,9 +396,7 @@ def evaluate(market: Market, product: Product) -> ProfitReport:
     return ProfitReport(product, margin, buyers, margin * buyers)
 
 
-def brute_force_optimum(
-    market: Market, *, max_candidates: int = BRUTE_FORCE_GUARD
-) -> ProfitReport:
+def brute_force_optimum(market: Market) -> ProfitReport:
     """Exhaustive search over the grid of customer coordinates.
 
     For any fixed buyer set, raising the price to the cheapest buyer's
@@ -439,16 +408,16 @@ def brute_force_optimum(
 
     Intended for desk-scale instances; raises
     :class:`~productdesign.errors.GuardExceededError` when the grid exceeds
-    ``max_candidates`` cells.
+    the module constant ``BRUTE_FORCE_GUARD`` (read at each call) in cells.
     """
     d = market.dim
     prices = np.unique(market.prices)
     axes = [np.unique(market.qualities[:, k]) for k in range(d)]
     shape = (prices.size, *(a.size for a in axes))
     cells = math.prod(shape)
-    if cells > max_candidates:
+    if cells > BRUTE_FORCE_GUARD:
         raise GuardExceededError(
-            f"candidate grid has {cells} cells, above the {max_candidates} guard"
+            f"candidate grid has {cells} cells, above the {BRUTE_FORCE_GUARD} guard"
         )
 
     # Histogram customers on the grid, then turn it into buyer counts:

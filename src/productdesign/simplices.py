@@ -167,18 +167,6 @@ def _as_arrays(simplices: Sequence[SimplexHomothet]) -> tuple[np.ndarray, np.nda
     return corners, sizes
 
 
-def depth_at(simplices: Sequence[SimplexHomothet], point: Sequence[float]) -> int:
-    """Number of simplices containing ``point`` (full rescan)."""
-    corners, sizes = _as_arrays(simplices)
-    x = np.asarray(point, dtype=float)
-    if x.shape != (corners.shape[1],):
-        raise DimensionMismatchError(
-            f"point has shape {x.shape}, expected ({corners.shape[1]},)"
-        )
-    inside = (x >= corners).all(axis=1) & ((x - corners).sum(axis=1) <= sizes)
-    return int(np.count_nonzero(inside))
-
-
 # ---------------------------------------------------------------------------
 # Arrangement statistics
 # ---------------------------------------------------------------------------
@@ -188,14 +176,12 @@ def depth_at(simplices: Sequence[SimplexHomothet], point: Sequence[float]) -> in
 class ArrangementStats:
     """Boundary complexity summary of a set of homothets."""
 
-    vertex_count: int
+    vertex_count: int | None
     max_depth: int
     pairwise_intersections: int
 
 
-def arrangement_stats(
-    simplices: Sequence[SimplexHomothet], *, count_vertices: bool = True
-) -> ArrangementStats:
+def arrangement_stats(simplices: Sequence[SimplexHomothet]) -> ArrangementStats:
     """Count intersecting pairs and, in the plane, their boundary crossings.
 
     Pairs are tested with the float predicate of :func:`intersects`, so the
@@ -203,9 +189,8 @@ def arrangement_stats(
     every intersecting pair adds its boundary crossing points (a
     horizontal, a vertical and a diagonal edge per triangle; parallel edges
     add nothing, and a point where several facet pairs meet counts once per
-    pair) as the arrangement's vertex count.  Vertex counting is only
-    implemented in the plane — pass ``count_vertices=False`` for other
-    dimensions.  Max depth is computed exactly.
+    pair) as the arrangement's vertex count; in other dimensions
+    ``vertex_count`` is ``None``.  Max depth is computed exactly.
 
     Homothets sorted by corner x are paired with the later ones whose
     corner x lies within their padded x-extent; a query with more of those
@@ -215,11 +200,6 @@ def arrangement_stats(
     """
     corners, sizes = _as_arrays(simplices)
     d = corners.shape[1]
-    if count_vertices and d != 2:
-        raise GuardExceededError(
-            "vertex counting is implemented for d=2 only; "
-            "use count_vertices=False for other dimensions"
-        )
     order = np.argsort(corners[:, 0], kind="stable")
     cols = [corners[order, k] for k in range(d)]
     size = sizes[order]
@@ -242,7 +222,7 @@ def arrangement_stats(
             f"{EXACT_DEPTH_GUARD} guard"
         )
     pairwise = 0
-    vertices = 0
+    vertices = 0 if d == 2 else None
     for lo in range(0, total, _PAIR_BUDGET):
         t = np.arange(lo, min(lo + _PAIR_BUDGET, total))
         i = np.searchsorted(first, t, side="right") - 1
@@ -251,7 +231,7 @@ def arrangement_stats(
         hit = meet <= np.minimum(cap[i], cap[j])
         i, j = i[hit], j[hit]
         pairwise += i.size
-        if count_vertices:
+        if d == 2:
             vertices += _edge_crossings(cols, size, cap, i, j)
     return ArrangementStats(
         vertex_count=vertices,
@@ -319,7 +299,7 @@ class _GridSlicer:
     ``_PAIR_BUDGET`` pairs run one key window at a time, in key order.
     """
 
-    def __init__(self, corners: np.ndarray, sizes: np.ndarray, max_work: int):
+    def __init__(self, corners: np.ndarray, sizes: np.ndarray):
         self.n, self.d = corners.shape
         self.cols = [np.ascontiguousarray(corners[:, k]) for k in range(self.d)]
         self.caps = corners.sum(axis=1) + sizes
@@ -329,7 +309,6 @@ class _GridSlicer:
         # Sum of the coordinates after axis k, for the estimate of `hi`.
         self.rest = [corners[:, k + 1 :].sum(axis=1) for k in range(self.d)]
         self.rank_rows = math.prod(ax.size for ax in self.axes) >= _DIRECT_KEY_CELLS
-        self.max_work = max_work
         self.work = 0
 
     def solve(self) -> tuple[int, tuple[int, ...]]:
@@ -344,10 +323,10 @@ class _GridSlicer:
 
     def _charge(self, work: int):
         self.work += work
-        if self.work > self.max_work:
+        if self.work > EXACT_DEPTH_GUARD:
             raise GuardExceededError(
                 f"exact depth work {self.work} (pairs plus stab events) "
-                f"exceeds the {self.max_work} guard"
+                f"exceeds the {EXACT_DEPTH_GUARD} guard"
             )
 
     def _fits(self, k, sim, part, at):
@@ -448,9 +427,7 @@ def _key_windows(start: np.ndarray, end: np.ndarray, parts: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def deepest_point_exact(
-    simplices: Sequence[SimplexHomothet], *, max_grid_work: int = EXACT_DEPTH_GUARD
-) -> DepthResult:
+def deepest_point_exact(simplices: Sequence[SimplexHomothet]) -> DepthResult:
     """Deepest point of the homothets, by slicing the corner-value grid.
 
     Some optimum lies on the grid of per-axis corner values (see the
@@ -460,12 +437,13 @@ def deepest_point_exact(
     number of (grid-line prefix, homothet) pairs expanded plus two stab
     events per pair on the last axis, about ``n`` times the mean number of
     grid lines a homothet spans; it is counted before each expansion
-    allocates anything, and a query whose count passes ``max_grid_work``
-    raises :class:`GuardExceededError`.  Peak memory is bounded by
+    allocates anything, and a query whose count passes the module constant
+    ``EXACT_DEPTH_GUARD`` (read at each call) raises
+    :class:`GuardExceededError`.  Peak memory is bounded by
     expanding at most ``_PAIR_BUDGET`` pairs at once.
     """
     corners, sizes = _as_arrays(simplices)
-    slicer = _GridSlicer(corners, sizes, max_grid_work)
+    slicer = _GridSlicer(corners, sizes)
     depth, at = slicer.solve()
     point = tuple(float(slicer.axes[k][i]) for k, i in enumerate(at))
     return DepthResult(point, depth)
@@ -483,19 +461,19 @@ def random_homothets(
     *,
     corner_range: tuple[float, float] = (0.0, 8.0),
     size_range: tuple[float, float] = (0.5, 3.0),
-) -> list[SimplexHomothet]:
+) -> SimplexArray:
     """Deterministic random homothets with a healthy amount of overlap."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     rng = np.random.default_rng(seed)
     corners = rng.uniform(corner_range[0], corner_range[1], size=(n, d))
     sizes = rng.uniform(size_range[0], size_range[1], size=n)
-    return [SimplexHomothet(tuple(corners[i]), float(sizes[i])) for i in range(n)]
+    return SimplexArray(corners, sizes)
 
 
 def depth_controlled_family(
     n: int, k: int, *, seed: int = 0, size: float = 4.0
-) -> list[SimplexHomothet]:
+) -> SimplexArray:
     """Plane family of ``n`` equal-size triangles with max depth exactly ``k``.
 
     Builds well-separated groups of ``k`` translates whose corners are
@@ -507,18 +485,15 @@ def depth_controlled_family(
     if n < k or k < 1:
         raise ValueError("need n >= k >= 1")
     rng = np.random.default_rng(seed)
+    shifts = []
+    for first in range(0, n, k):  # one group of k (the last may be short)
+        t = rng.uniform(0.0, size / 2.0, size=min(k, n - first))
+        if t.size == k:
+            t[0] = 0.0
+            t[-1] = size / 2.0  # pin the spread so full groups reach depth k
+        shifts.append(np.sort(t))
+    t = np.concatenate(shifts)
+    group = np.arange(n) // k
     spacing = 100.0 * size
-    out: list[SimplexHomothet] = []
-    group = 0
-    while len(out) < n:
-        members = min(k, n - len(out))
-        base_x = group * spacing
-        base_y = -group * spacing
-        shifts = rng.uniform(0.0, size / 2.0, size=members)
-        if members == k:
-            shifts[0] = 0.0
-            shifts[-1] = size / 2.0  # pin the spread so full groups reach depth k
-        for t in np.sort(shifts):
-            out.append(SimplexHomothet((base_x + float(t), base_y - float(t)), size))
-        group += 1
-    return out
+    corners = np.c_[group * spacing + t, -group * spacing - t]
+    return SimplexArray(corners, np.full(n, size))

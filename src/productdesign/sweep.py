@@ -91,7 +91,7 @@ class SweepStats:
     certificate_pushes: int = 0
 
 
-def solve_exact_1d(market: Market, *, check_invariants: bool = False) -> ProfitReport:
+def solve_exact_1d(market: Market) -> ProfitReport:
     """Exact optimum for a one-dimensional market in O(n log n).
 
     Returns a report whose profit equals the exhaustive grid optimum; when
@@ -100,16 +100,12 @@ def solve_exact_1d(market: Market, *, check_invariants: bool = False) -> ProfitR
     in decreasing order on its own: in a Pareto-consistent market that is
     the order of price, then quality, descending.  A market built with
     ``validate=False`` must therefore already be Pareto-consistent.
-    ``check_invariants`` compares every row maximum with a direct scan of
-    its row (quadratic — for tests only).
     """
-    report, _ = solve_exact_1d_with_stats(market, check_invariants=check_invariants)
+    report, _ = solve_exact_1d_with_stats(market)
     return report
 
 
-def solve_exact_1d_with_stats(
-    market: Market, *, check_invariants: bool = False
-) -> tuple[ProfitReport, SweepStats]:
+def solve_exact_1d_with_stats(market: Market) -> tuple[ProfitReport, SweepStats]:
     """As :func:`solve_exact_1d`, also returning operation counts."""
     if market.dim != 1:
         raise DimensionMismatchError("the sweep solver handles dim=1 markets only")
@@ -119,8 +115,7 @@ def solve_exact_1d_with_stats(
     q = np.sort(market.qualities[:, 0])[::-1]
     new_quality = np.concatenate(([True], q[1:] != q[:-1]))
     columns = np.flatnonzero(new_quality)  # first event of each quality
-    # per row: last column at or before it (an explicit dtype takes numpy's
-    # fast accumulate loop; a bool cumsum without one is about 3x slower)
+    # per row: last column at or before it, as an index array
     last_column = np.cumsum(new_quality, dtype=np.int64)
     last_column -= 1
     q = q[columns]  # column qualities; event t's quality is q[last_column[t]]
@@ -135,25 +130,16 @@ def solve_exact_1d_with_stats(
         entries=entries,
         rows_pruned=rows_pruned,
     )
-    if check_invariants:
-        _check_row_maxima(p, q[last_column], row_max)
 
     # the first (highest-priced) row holding the maximum, and its
     # rightmost (lowest-quality) maximizing column
     best_row = int(np.argmax(row_max))
-    best_profit = float(row_max[best_row])
-    if not best_profit > 0.0:
+    if not row_max[best_row] > 0.0:
         return NO_PROFITABLE_PRODUCT, stats
     # + 0.0 turns -0.0 into 0.0: the sorts may order equal zeros either way
     best_price = float(p[best_row]) + 0.0
     best_quality = float(q[row_arg[best_row]]) + 0.0
-    report = evaluate(market, Product(best_price, (best_quality,)))
-    if check_invariants and report.profit != best_profit:
-        raise AssertionError(
-            f"searched profit {best_profit} disagrees with "
-            f"re-evaluation {report.profit}"
-        )
-    return report, stats
+    return evaluate(market, Product(best_price, (best_quality,))), stats
 
 
 def _row_maxima(
@@ -221,28 +207,3 @@ def _row_maxima(
         lo, hi, lo_col, hi_col = lo[keep], hi[keep], lo_col[keep], hi_col[keep]
     return row_max, row_arg, entries, n - searched
 
-
-def _check_row_maxima(p: np.ndarray, q: np.ndarray, row_max: np.ndarray) -> None:
-    """Debug-mode check: every row maximum against a direct scan of
-    ``(p_t - q_j) * (t - j + 1)`` over all events ``j <= t``.
-
-    The scan also takes the repeat events of a quality as columns.  Their
-    smaller count only wins a row where every margin is negative, and such
-    a row cannot hold the optimum, so a searched row is compared clipped
-    at 0.  A pruned row (maximum ``-inf``) must scan strictly below the
-    final best or at most 0: a pruned row that could tie or win is an error.
-    """
-    best = max(float(row_max.max()), 0.0)
-    for t in range(p.size):
-        direct = float(np.max((p[t] - q[: t + 1]) * np.arange(t + 1, 0, -1)))
-        if not np.isfinite(row_max[t]):
-            if not (direct < best or direct <= 0.0):
-                raise AssertionError(
-                    f"event {t + 1}: pruned row scans {direct}, "
-                    f"not below the best {best}"
-                )
-        elif max(float(row_max[t]), 0.0) != max(direct, 0.0):
-            raise AssertionError(
-                f"event {t + 1}: searched row maximum {row_max[t]} != "
-                f"direct scan {direct}"
-            )

@@ -71,6 +71,15 @@ def vertex_oracle_depth(sims) -> int:
     return int(inside.sum(axis=1).max())
 
 
+def depth_at(sims, point) -> int:
+    """Number of homothets containing ``point``, by a full rescan."""
+    corners = np.array([s.corner for s in sims], dtype=float)
+    sizes = np.array([s.size for s in sims], dtype=float)
+    x = np.asarray(point, dtype=float)
+    inside = (x >= corners).all(axis=1) & ((x - corners).sum(axis=1) <= sizes)
+    return int(np.count_nonzero(inside))
+
+
 def grid_scan_deepest(sims) -> tuple[tuple[float, ...], int]:
     """Reference deepest point: the depth of every corner-grid cell.
 
@@ -166,3 +175,29 @@ def unpruned_row_maxima(p, q, columns, last_column):
             np.concatenate((arg[above], hi_col[below])),
         )
     return row_max, row_arg, entries
+
+
+def check_row_maxima(p, q, row_max) -> None:
+    """Every row maximum of the 1-D search against a direct scan of
+    ``(p_t - q_j) * (t - j + 1)`` over all events ``j <= t``, where ``q``
+    holds each event's quality.
+
+    The scan also takes the repeat events of a quality as columns.  Their
+    smaller count only wins a row where every margin is negative, and such
+    a row cannot hold the optimum, so a searched row is compared clipped
+    at 0.  A pruned row (maximum ``-inf``) must scan strictly below the
+    final best or at most 0: a pruned row that could tie or win is an error.
+    """
+    best = max(float(row_max.max()), 0.0)
+    for t in range(p.size):
+        direct = float(np.max((p[t] - q[: t + 1]) * np.arange(t + 1, 0, -1)))
+        if not np.isfinite(row_max[t]):
+            assert direct < best or direct <= 0.0, (
+                f"event {t + 1}: pruned row scans {direct}, "
+                f"not below the best {best}"
+            )
+        else:
+            assert max(float(row_max[t]), 0.0) == max(direct, 0.0), (
+                f"event {t + 1}: searched row maximum {row_max[t]} != "
+                f"direct scan {direct}"
+            )

@@ -38,7 +38,6 @@ def test_sweep_defines_only_the_search():
         "solve_exact_1d",
         "solve_exact_1d_with_stats",
         "_row_maxima",
-        "_check_row_maxima",
     }
 
 
@@ -69,7 +68,6 @@ def test_simplices_defines_only_the_exact_depth_toolkit():
         "arrangement_stats",
         "contains",
         "deepest_point_exact",
-        "depth_at",
         "depth_controlled_family",
         "intersects",
         "random_homothets",
@@ -100,13 +98,24 @@ def test_market_defines_only_its_public_api():
         "ppu",
         "prune_dominated",
         "random_pareto_market",
-        "validate_pareto",
     }
 
 
 def test_solve_approx_takes_market_and_epsilon_only():
     for fn in (pd.solve_approx, pd.solve_approx_detailed):
         assert list(inspect.signature(fn).parameters) == ["market", "epsilon"]
+
+
+def test_solvers_and_queries_take_their_data_only():
+    # guards are module constants, not keyword options
+    for fn, data in (
+        (pd.deepest_point_exact, "simplices"),
+        (pd.arrangement_stats, "simplices"),
+        (pd.brute_force_optimum, "market"),
+        (pd.solve_exact_1d, "market"),
+        (pd.solve_exact_1d_with_stats, "market"),
+    ):
+        assert list(inspect.signature(fn).parameters) == [data], fn.__name__
 
 
 def test_depth_result_fields():

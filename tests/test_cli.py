@@ -1,11 +1,10 @@
 import json
-from functools import partial
 
 import numpy as np
 import pytest
 
 import productdesign as pd
-from productdesign import approx
+from productdesign import simplices
 from productdesign.cli import RunConfig, load_market, main, run
 
 
@@ -265,11 +264,7 @@ class TestMainExitCodes:
         market = pd.random_pareto_market(30, 2, seed=3, value_range=(0, 12))
         path = tmp_path / "m.csv"
         path.write_text(pd.market_to_csv(market))
-        monkeypatch.setattr(
-            approx,
-            "deepest_point_exact",
-            partial(pd.deepest_point_exact, max_grid_work=10),
-        )
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 10)
         argv = ["solve", "--input", str(path), "--algorithm", "approx"]
         code = main(argv + ["--epsilon", "0.25"])
         assert code == 3

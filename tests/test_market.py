@@ -117,38 +117,19 @@ class TestEvaluate:
 
 class TestParetoValidation:
     def test_valid_pair(self):
-        assert pd.validate_pareto(customers_of((3, [1]), (2, [0]))) == []
+        assert len(market_of((3, [1]), (2, [0]))) == 2
 
     def test_flags_dominated_pair(self):
-        assert pd.validate_pareto(customers_of((2, [5]), (3, [1]))) == [(1, 0)]
+        with pytest.raises(pd.ParetoViolationError) as info:
+            pd.Market.from_arrays([2.0, 3.0], [[5.0, 5.0], [1.0, 1.0]])
+        assert info.value.pair == (1, 0)
 
     def test_equal_prices_never_violate(self):
-        assert pd.validate_pareto(customers_of((5, [2]), (5, [7]))) == []
+        assert len(market_of((5, [2]), (5, [7]))) == 2
 
     def test_empty_raises(self):
         with pytest.raises(pd.EmptyMarketError):
-            pd.validate_pareto([])
-
-    def test_matches_quadratic_definition_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            n = int(rng.integers(2, 14))
-            d = int(rng.integers(1, 4))
-            cs = customers_of(
-                *[
-                    (float(rng.integers(0, 8)), rng.integers(0, 5, d).tolist())
-                    for _ in range(n)
-                ]
-            )
-            got = pd.validate_pareto(cs)
-            want = [
-                (a, b)
-                for a in range(n)
-                for b in range(n)
-                if cs[b].price < cs[a].price
-                and all(x > y for x, y in zip(cs[b].qualities, cs[a].qualities))
-            ]
-            assert got == want
+            pd.Market.from_arrays(np.empty(0), np.empty((0, 1)))
 
 
 def _dense_dominated(prices, qualities):
@@ -160,34 +141,36 @@ def _dense_dominated(prices, qualities):
     return dom
 
 
-def _pareto_markets_2d(rng):
-    """Tie-heavy integer, equal-price float and larger integer d = 2 inputs."""
+def _pareto_markets(rng, d):
+    """Tie-heavy integer, equal-price float and larger integer inputs."""
     for t in range(300):
         n = int(rng.integers(1, 40))
         k = int(rng.integers(1, 5))
         prices = rng.integers(0, k, n).astype(float)
-        yield prices, rng.integers(0, k, (n, 2)).astype(float)
-        q = np.round(rng.uniform(0, 10, (n, 2)), 2)
+        yield prices, rng.integers(0, k, (n, d)).astype(float)
+        q = np.round(rng.uniform(0, 10, (n, d)), 2)
         prices = np.round(q.sum(axis=1) + rng.integers(-2, 3, n) * 0.5, 2)
         prices[rng.random(n) < 0.4] = prices[0]
         yield prices, q
     for n in (500, 1500, 3000):
-        q = rng.integers(0, 101, (n, 2)).astype(float)
+        q = rng.integers(0, 101, (n, d)).astype(float)
         yield q.sum(axis=1) + rng.integers(1, 6, n), q
 
 
 class TestDominatedMask:
-    def test_2d_matches_dense_definition(self):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dense_definition(self, d):
         flagged = 0
-        for prices, q in _pareto_markets_2d(np.random.default_rng(17)):
+        for prices, q in _pareto_markets(np.random.default_rng(17), d):
             want = _dense_dominated(prices, q).any(axis=0)
             assert np.array_equal(market_mod._dominated_mask(prices, q), want)
             flagged += int(want.sum())
         assert flagged > 1000
 
-    def test_2d_witness_is_lowest_dominated_and_its_lowest_dominator(self):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_witness_is_lowest_dominated_and_its_lowest_dominator(self, d):
         checked = 0
-        for prices, q in _pareto_markets_2d(np.random.default_rng(18)):
+        for prices, q in _pareto_markets(np.random.default_rng(18), d):
             dom = _dense_dominated(prices, q)
             if not dom.any():
                 pd.Market.from_arrays(prices, q)
@@ -255,7 +238,8 @@ class TestPrune:
                     for _ in range(n)
                 ]
             )
-            assert pd.validate_pareto(pd.prune_dominated(cs).customers) == []
+            m = pd.prune_dominated(cs)
+            assert pd.Market.from_arrays(m.prices, m.qualities) == m
 
 
 def _naive_grid_optimum(market: pd.Market) -> pd.ProfitReport:
@@ -313,10 +297,11 @@ class TestBruteForceOptimum:
         assert rep == pd.NO_PROFITABLE_PRODUCT
         assert not rep.profitable
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         m = pd.random_pareto_market(40, 2, seed=0)
-        with pytest.raises(pd.GuardExceededError):
-            pd.brute_force_optimum(m, max_candidates=10)
+        monkeypatch.setattr(market_mod, "BRUTE_FORCE_GUARD", 10)
+        with pytest.raises(pd.GuardExceededError, match="above the 10 guard"):
+            pd.brute_force_optimum(m)
 
     def test_size_guard_counts_past_int64(self):
         # 8192**4 * 4096 == 2**64 cells: a 64-bit product wraps to 0
@@ -345,12 +330,12 @@ class TestBruteForceOptimum:
 class TestGenerators:
     def test_random_market_single(self):
         m = pd.random_pareto_market(1, 1, seed=7)
-        assert len(m) == 1 and pd.validate_pareto(m.customers) == []
+        assert len(m) == 1 and pd.Market.from_arrays(m.prices, m.qualities) == m
 
     def test_random_market_d2_valid_and_profitable(self):
         m = pd.random_pareto_market(100, 2, seed=1)
         assert len(m) == 100
-        assert pd.validate_pareto(m.customers) == []
+        assert pd.Market.from_arrays(m.prices, m.qualities) == m
         assert pd.max_ppu(m) > 0
 
     def test_random_market_deterministic(self):
@@ -363,7 +348,7 @@ class TestGenerators:
 
     def test_random_market_d1_properties(self):
         m = pd.random_pareto_market(300, 1, seed=2)
-        assert pd.validate_pareto(m.customers) == []
+        assert pd.Market.from_arrays(m.prices, m.qualities) == m
         assert (m.prices - m.qualities[:, 0] > 0).any()
         assert np.all(m.prices == np.round(m.prices))  # integer coordinates
 

@@ -7,7 +7,12 @@ import productdesign as pd
 from productdesign import simplices
 from productdesign.simplices import EXACT_DEPTH_GUARD
 
-from conftest import arrangement_oracle, grid_scan_deepest, vertex_oracle_depth
+from conftest import (
+    arrangement_oracle,
+    depth_at,
+    grid_scan_deepest,
+    vertex_oracle_depth,
+)
 
 S = pd.SimplexHomothet
 
@@ -120,11 +125,11 @@ class TestArrangementStats:
         assert 0 < st.vertex_count <= 100 * n * n
 
     def test_vertex_path_restricted_to_plane(self):
-        sims = pd.random_homothets(10, 3, seed=0)
-        with pytest.raises(pd.GuardExceededError):
-            pd.arrangement_stats(sims)
-        st = pd.arrangement_stats(sims, count_vertices=False)
-        assert st.vertex_count == 0 and st.pairwise_intersections >= 0
+        for d in (1, 3):
+            sims = pd.random_homothets(10, d, seed=0)
+            st = pd.arrangement_stats(sims)
+            assert st.vertex_count is None
+            assert st.pairwise_intersections == arrangement_oracle(sims)[0]
 
     def test_depth_controlled_family_hits_target(self):
         for n, k in ((60, 3), (100, 8)):
@@ -142,10 +147,10 @@ class TestArrangementStats:
     def test_matches_all_pairs_oracle(self, d, family):
         rng = np.random.default_rng(200 + 10 * d + PAIR_FAMILIES.index(family))
         sims = family_homothets(rng, family, 150, d)
-        st = pd.arrangement_stats(sims, count_vertices=d == 2)
+        st = pd.arrangement_stats(sims)
         pairs, vertices = arrangement_oracle(sims)
         assert st.pairwise_intersections == pairs
-        assert st.vertex_count == vertices
+        assert st.vertex_count == (vertices if d == 2 else None)
 
     def test_rounded_sums_count_like_intersects(self):
         # x + s = 1 < x' before rounding; every sum rounds to 2**52 + 1
@@ -172,8 +177,8 @@ class TestArrangementStats:
 
 class TestSimplexArray:
     def test_items_match_objects(self):
-        sims = pd.random_homothets(20, 3, seed=2)
-        arr = pd.SimplexArray([s.corner for s in sims], [s.size for s in sims])
+        arr = pd.random_homothets(20, 3, seed=2)
+        sims = [S(tuple(c), s) for c, s in zip(arr.corners, arr.sizes)]
         assert len(arr) == 20
         assert list(arr) == sims
         assert arr[4] == sims[4]
@@ -200,10 +205,10 @@ class TestSimplexArray:
             arr.sizes[0] = 3.0
 
     def test_queries_accept_arrays(self):
-        sims = pd.random_homothets(30, 2, seed=6)
-        arr = pd.SimplexArray([s.corner for s in sims], [s.size for s in sims])
+        arr = pd.random_homothets(30, 2, seed=6)
+        sims = list(arr)
         assert pd.deepest_point_exact(arr) == pd.deepest_point_exact(sims)
-        assert pd.depth_at(arr, (4.0, 4.0)) == pd.depth_at(sims, (4.0, 4.0))
+        assert pd.arrangement_stats(arr) == pd.arrangement_stats(sims)
         with pytest.raises(ValueError):
             pd.deepest_point_exact(arr[:0])
 
@@ -282,11 +287,11 @@ class TestDeepestPointExact:
         sims = pd.random_homothets(4000, 2, seed=5)
         assert 4000**3 > EXACT_DEPTH_GUARD
         res = pd.deepest_point_exact(sims)
-        assert res.depth == pd.depth_at(sims, res.point) > 1
+        assert res.depth == depth_at(sims, res.point) > 1
         # independent max depth: stab the y-intervals [a_1, cap - x] cut
         # by the vertical line through every corner x-value
-        corners = np.array([s.corner for s in sims])
-        caps = corners.sum(axis=1) + np.array([s.size for s in sims])
+        corners = sims.corners
+        caps = corners.sum(axis=1) + sims.sizes
         best = 0
         for x in np.unique(corners[:, 0]):
             on = (corners[:, 0] <= x) & (corners[:, 1] <= caps - x)
@@ -312,44 +317,49 @@ class TestDeepestPointExact:
         res = pd.deepest_point_exact(sims)
         assert res == pd.DepthResult(tuple(q), 4)
 
-    def test_guard_counts_pairs_and_stab_events(self):
+    def test_guard_counts_pairs_and_stab_events(self, monkeypatch):
         # d=2: one pair per admitted (x_0 value, homothet), then two stab
         # events per pair
         sims = pd.random_homothets(50, 2, seed=0)
-        corners = np.array([s.corner for s in sims])
-        caps = corners.sum(axis=1) + np.array([s.size for s in sims])
+        corners = sims.corners
+        caps = corners.sum(axis=1) + sims.sizes
         xs = np.unique(corners[:, 0])[:, None]
         pairs = int(((xs >= corners[:, 0]) & (xs + corners[:, 1] <= caps)).sum())
-        pd.deepest_point_exact(sims, max_grid_work=3 * pairs)
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 3 * pairs)
+        pd.deepest_point_exact(sims)
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 3 * pairs - 1)
         with pytest.raises(pd.GuardExceededError):
-            pd.deepest_point_exact(sims, max_grid_work=3 * pairs - 1)
+            pd.deepest_point_exact(sims)
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 3)
         with pytest.raises(pd.GuardExceededError):
-            pd.deepest_point_exact([S((0,), 1), S((1,), 1)], max_grid_work=3)
+            pd.deepest_point_exact([S((0,), 1), S((1,), 1)])
 
     def test_guard_trips_before_expanding(self, monkeypatch):
         def no_expansion(*args, **kwargs):
             raise AssertionError("expanded past the guard")
 
-        monkeypatch.setattr(np, "repeat", no_expansion)
         sims = pd.random_homothets(200, 3, seed=1)
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 199)
+        monkeypatch.setattr(np, "repeat", no_expansion)
         with pytest.raises(pd.GuardExceededError):
-            pd.deepest_point_exact(sims, max_grid_work=199)
+            pd.deepest_point_exact(sims)
 
     def test_depth_field_matches_rescan(self):
         for seed in range(10):
             sims = pd.random_homothets(25, 2, seed=seed)
             res = pd.deepest_point_exact(sims)
-            assert pd.depth_at(sims, res.point) == res.depth
+            assert depth_at(sims, res.point) == res.depth
 
     def test_matches_vertex_oracle(self):
         for seed in range(30):
             sims = pd.random_homothets(35, 2, seed=seed, corner_range=(0, 6))
             assert pd.deepest_point_exact(sims).depth == vertex_oracle_depth(sims)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         sims = pd.random_homothets(50, 2, seed=0)
-        with pytest.raises(pd.GuardExceededError):
-            pd.deepest_point_exact(sims, max_grid_work=100)
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 100)
+        with pytest.raises(pd.GuardExceededError, match="exceeds the 100 guard"):
+            pd.deepest_point_exact(sims)
 
     def test_one_dimensional(self):
         sims = [S((0,), 2), S((1,), 2), S((5,), 1)]
@@ -359,11 +369,16 @@ class TestDeepestPointExact:
 
 class TestGenerators:
     def test_random_homothets_deterministic(self):
-        assert pd.random_homothets(10, 2, seed=3) == pd.random_homothets(10, 2, seed=3)
+        a = pd.random_homothets(10, 2, seed=3)
+        b = pd.random_homothets(10, 2, seed=3)
+        assert isinstance(a, pd.SimplexArray)
+        assert np.array_equal(a.corners, b.corners)
+        assert np.array_equal(a.sizes, b.sizes)
 
     def test_depth_controlled_family_shape(self):
         fam = pd.depth_controlled_family(10, 4, seed=0)
-        assert len(fam) == 10 and all(s.size == 4.0 for s in fam)
+        assert isinstance(fam, pd.SimplexArray)
+        assert fam.corners.shape == (10, 2) and (fam.sizes == 4.0).all()
         with pytest.raises(ValueError):
             pd.depth_controlled_family(3, 5)
 

@@ -6,7 +6,13 @@ import pytest
 
 import productdesign as pd
 
-from conftest import event_arrays, float_market, market_of, unpruned_row_maxima
+from conftest import (
+    check_row_maxima,
+    event_arrays,
+    float_market,
+    market_of,
+    unpruned_row_maxima,
+)
 from productdesign import sweep
 
 
@@ -179,8 +185,9 @@ class TestSolveExact1d:
                 m = pd.Market(customers)
             except pd.ParetoViolationError:
                 m = pd.prune_dominated(customers)
-            got = pd.solve_exact_1d(m, check_invariants=True).profit
-            assert got == pd.brute_force_optimum(m).profit, f"seed {seed}"
+            rep = pd.solve_exact_1d(m)
+            assert_search_checked(m, rep)
+            assert rep.profit == pd.brute_force_optimum(m).profit, f"seed {seed}"
 
     def test_matches_direct_event_scan(self):
         markets = [
@@ -226,6 +233,19 @@ class TestSolveExact1d:
     def test_equal_quality_different_prices(self):
         m = market_of((10, [5]), (8, [5]))
         assert pd.solve_exact_1d(m).profit == pd.brute_force_optimum(m).profit == 6.0
+
+
+def assert_search_checked(market, report):
+    """Every searched row maximum against a direct scan of its row, and
+    the report's profit against the largest of them."""
+    p, q, columns, last_column = event_arrays(market)
+    row_max = sweep._row_maxima(p, q, columns, last_column)[0]
+    check_row_maxima(p, q[last_column], row_max)
+    best = float(row_max.max())
+    if best > 0.0:
+        assert report.profit == best
+    else:
+        assert report == pd.NO_PROFITABLE_PRODUCT
 
 
 def assert_matches_unpruned(market):
@@ -278,7 +298,8 @@ class TestBlockPruning:
         # is the first row holding the maximum.  Row 2's block has bound
         # (1 - 0) * 3 = 3, so row 2 is the only row pruned.
         m = market_of((5, [1]), (3, [0]), (1, [0]))
-        rep, stats = pd.solve_exact_1d_with_stats(m, check_invariants=True)
+        rep, stats = pd.solve_exact_1d_with_stats(m)
+        assert_search_checked(m, rep)
         assert rep.product == pd.Product(5, (1,)) and rep.profit == 4.0
         assert rep == direct_scan_report(m)[0]
         assert stats.rows_pruned == 1
@@ -302,5 +323,6 @@ class TestSweepAccounting:
 
     def test_invariant_checked_run(self):
         m = pd.random_pareto_market(300, 1, seed=5, value_range=(0, 10**5))
-        rep = pd.solve_exact_1d(m, check_invariants=True)
+        rep = pd.solve_exact_1d(m)
+        assert_search_checked(m, rep)
         assert rep.profit == pd.brute_force_optimum(m).profit
