@@ -247,8 +247,11 @@ class Market:
 
 def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Mask of the dominated customers for one quality axis ``q``: those
-    with a strictly cheaper customer who demands strictly more."""
-    order = np.argsort(prices, kind="stable")
+    with a strictly cheaper customer who demands strictly more.
+
+    Each equal-price group is reduced as a whole, so the order within a
+    group does not matter and the sort need not be stable."""
+    order = np.argsort(prices)
     ps, qs = prices[order], q[order]
     new_group = np.r_[True, ps[1:] != ps[:-1]]
     starts = np.flatnonzero(new_group)

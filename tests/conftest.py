@@ -125,24 +125,21 @@ def float_market(rng, n: int, d: int, ties: bool = False) -> pd.Market:
 
 
 def event_arrays(market: pd.Market):
-    """The 1-D solver's search inputs: event prices (price descending,
-    then quality descending), column qualities, column event indices and
-    each event's last column."""
+    """The 1-D solver's search inputs: event prices and event qualities,
+    price descending, then quality descending."""
     ql = market.qualities[:, 0]
     order = np.lexsort((-ql, -market.prices))
-    p, q = market.prices[order], ql[order]
-    new_quality = np.concatenate(([True], q[1:] != q[:-1]))
-    columns = np.flatnonzero(new_quality)
-    return p, q[columns], columns, np.cumsum(new_quality) - 1
+    return market.prices[order], ql[order]
 
 
-def unpruned_row_maxima(p, q, columns, last_column):
-    """Reference row maxima: the monotone search without the block bound.
+def unpruned_row_maxima(p, q):
+    """Reference row maxima: the monotone search without the block bound
+    and without entry windows.
 
-    Every row of ``M[t][c] = (p[t] - q[c]) * (t - columns[c] + 1)`` over
-    ``c <= last_column[t]`` is scanned, each pass taking the middle row of
-    every pending block over its column range.  Returns the row maxima,
-    the rightmost maximizing columns and the number of entries evaluated.
+    Every row of ``M[t][j] = (p[t] - q[j]) * (t - j + 1)`` over all events
+    ``j <= t`` is scanned, each pass taking the middle row of every
+    pending block over its column range.  Returns the row maxima, the
+    rightmost maximizing columns and the number of entries evaluated.
     """
     n = p.size
     row_max = np.empty(n)
@@ -151,16 +148,16 @@ def unpruned_row_maxima(p, q, columns, last_column):
     lo = np.zeros(1, dtype=np.int64)
     hi = np.full(1, n - 1, dtype=np.int64)
     lo_col = np.zeros(1, dtype=np.int64)
-    hi_col = last_column[-1:].copy()
+    hi_col = hi.copy()
     while lo.size:
         mid = (lo + hi) >> 1
-        lengths = np.minimum(hi_col, last_column[mid]) - lo_col + 1
+        lengths = np.minimum(hi_col, mid) - lo_col + 1
         starts = np.cumsum(lengths) - lengths
         total = int(starts[-1] + lengths[-1])
         entries += total
         col = np.arange(total) - np.repeat(starts - lo_col, lengths)
         values = (np.repeat(p[mid], lengths) - q[col]) * (
-            np.repeat(mid + 1, lengths) - columns[col]
+            np.repeat(mid + 1, lengths) - col
         )
         peak = np.maximum.reduceat(values, starts)
         hits = np.flatnonzero(values == np.repeat(peak, lengths))
@@ -177,27 +174,31 @@ def unpruned_row_maxima(p, q, columns, last_column):
     return row_max, row_arg, entries
 
 
-def check_row_maxima(p, q, row_max) -> None:
-    """Every row maximum of the 1-D search against a direct scan of
-    ``(p_t - q_j) * (t - j + 1)`` over all events ``j <= t``, where ``q``
-    holds each event's quality.
+def check_row_maxima(p, q, rows, row_max, row_arg) -> None:
+    """The searched rows of the 1-D search against a direct scan of
+    ``(p_t - q_j) * (t - j + 1)`` over all events ``j <= t``.
 
-    The scan also takes the repeat events of a quality as columns.  Their
-    smaller count only wins a row where every margin is negative, and such
-    a row cannot hold the optimum, so a searched row is compared clipped
-    at 0.  A pruned row (maximum ``-inf``) must scan strictly below the
-    final best or at most 0: a pruned row that could tie or win is an error.
+    Each searched row must appear once, with exactly the scanned maximum
+    and the rightmost column attaining it.  A row the search never
+    scanned must scan strictly below the best searched maximum or at most
+    0: a pruned row that could tie or win is an error.
     """
+    assert np.unique(rows).size == rows.size, "a row was searched twice"
     best = max(float(row_max.max()), 0.0)
+    searched = dict(zip(rows.tolist(), zip(row_max.tolist(), row_arg.tolist())))
     for t in range(p.size):
-        direct = float(np.max((p[t] - q[: t + 1]) * np.arange(t + 1, 0, -1)))
-        if not np.isfinite(row_max[t]):
+        scan = (p[t] - q[: t + 1]) * np.arange(t + 1, 0, -1)
+        direct = float(scan.max())
+        if t not in searched:
             assert direct < best or direct <= 0.0, (
                 f"event {t + 1}: pruned row scans {direct}, "
                 f"not below the best {best}"
             )
-        else:
-            assert max(float(row_max[t]), 0.0) == max(direct, 0.0), (
-                f"event {t + 1}: searched row maximum {row_max[t]} != "
-                f"direct scan {direct}"
-            )
+            continue
+        top, arg = searched[t]
+        assert top == direct, (
+            f"event {t + 1}: searched row maximum {top} != direct scan {direct}"
+        )
+        assert arg == int(np.flatnonzero(scan == direct)[-1]), (
+            f"event {t + 1}: column {arg} is not the rightmost maximizing one"
+        )

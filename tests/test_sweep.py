@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,7 +95,8 @@ class TestSweepEvents:
     def test_two_sorts_give_the_joint_order(self, monkeypatch):
         # the solver sorts the price and the quality column each on its
         # own; on a Pareto-consistent market the search must still get the
-        # arrays of the joint (price, quality) order, in any row order
+        # arrays of the joint (price, quality) order, in any row order, and
+        # the qualities it gathers from must be one contiguous array
         seen = []
         search = sweep._row_maxima
 
@@ -116,6 +118,7 @@ class TestSweepEvents:
                 assert len(got) == len(expected)
                 for a, b in zip(got, expected):
                     assert np.array_equal(a, b), f"market {i}"
+                assert got[1].flags.c_contiguous
 
 
 class TestSignedZeros:
@@ -236,11 +239,12 @@ class TestSolveExact1d:
 
 
 def assert_search_checked(market, report):
-    """Every searched row maximum against a direct scan of its row, and
-    the report's profit against the largest of them."""
-    p, q, columns, last_column = event_arrays(market)
-    row_max = sweep._row_maxima(p, q, columns, last_column)[0]
-    check_row_maxima(p, q[last_column], row_max)
+    """Every searched row maximum and argmax against a direct scan of its
+    row, every pruned row against the best, and the report's profit
+    against the largest searched maximum."""
+    p, q = event_arrays(market)
+    rows, row_max, row_arg, _ = sweep._row_maxima(p, q)
+    check_row_maxima(p, q, rows, row_max, row_arg)
     best = float(row_max.max())
     if best > 0.0:
         assert report.profit == best
@@ -251,15 +255,14 @@ def assert_search_checked(market, report):
 def assert_matches_unpruned(market):
     """The pruned search against the unpruned one: the same report, the
     same maximum and argmax on every searched row, and no more entries."""
-    arrays = event_arrays(market)
-    row_max, row_arg, entries, pruned = sweep._row_maxima(*arrays)
-    ref_max, ref_arg, ref_entries = unpruned_row_maxima(*arrays)
-    searched = np.isfinite(row_max)
-    assert pruned == market.prices.size - int(searched.sum())
-    assert np.array_equal(row_max[searched], ref_max[searched])
-    assert np.array_equal(row_arg[searched], ref_arg[searched])
+    p, q = event_arrays(market)
+    rows, row_max, row_arg, entries = sweep._row_maxima(p, q)
+    ref_max, ref_arg, ref_entries = unpruned_row_maxima(p, q)
+    assert np.unique(rows).size == rows.size
+    assert np.array_equal(row_max, ref_max[rows])
+    assert np.array_equal(row_arg, ref_arg[rows])
     assert entries <= ref_entries
-    p, q = arrays[0], arrays[1]
+    pruned = p.size - rows.size
     best_row = int(np.argmax(ref_max))
     if ref_max[best_row] > 0.0:
         product = pd.Product(float(p[best_row]), (float(q[ref_arg[best_row]]),))
@@ -304,6 +307,49 @@ class TestBlockPruning:
         assert rep == direct_scan_report(m)[0]
         assert stats.rows_pruned == 1
         assert_matches_unpruned(m)
+
+
+class TestEntryWindows:
+    """Each pass runs in windows of at most ``_ENTRY_BUDGET`` entries; a
+    block cut by a window edge merges its parts, the later column winning
+    ties, so the window size changes no searched row and no report."""
+
+    def test_small_windows_match_the_default(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        markets = [tie_heavy_market(rng) for _ in range(60)]
+        markets += [equal_price_market(rng) for _ in range(60)]
+        markets += [float_market(rng, 60, 1, ties=True) for _ in range(60)]
+        markets.append(
+            pd.random_pareto_market(600, 1, seed=8, value_range=(0, 12_000))
+        )
+        expected = [
+            (pd.solve_exact_1d_with_stats(m), sweep._row_maxima(*event_arrays(m)))
+            for m in markets
+        ]
+        for budget in (1, 2, 7):
+            monkeypatch.setattr(sweep, "_ENTRY_BUDGET", budget)
+            for i, (m, (solved, searched)) in enumerate(zip(markets, expected)):
+                assert pd.solve_exact_1d_with_stats(m) == solved, f"market {i}"
+                got = sweep._row_maxima(*event_arrays(m))
+                for a, b in zip(got[:3], searched[:3]):
+                    assert np.array_equal(a, b), f"budget {budget}, market {i}"
+
+
+class TestWorkingSet:
+    def test_solve_memory_is_two_columns_and_a_window(self):
+        # criterion 8's smallest market: the solve holds the event prices
+        # and qualities (two 8n-byte columns, a third for slack), and each
+        # window allocates a few 8-byte arrays of at most _ENTRY_BUDGET
+        # entries, so nothing else may grow with n
+        n = 250_000
+        m = pd.random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
+        tracemalloc.start()
+        try:
+            pd.solve_exact_1d(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n + 64 * sweep._ENTRY_BUDGET
 
 
 class TestSweepAccounting:
