@@ -34,7 +34,7 @@ from .market import (
 from .simplices import arrangement_stats, depth_controlled_family
 from .sweep import solve_exact_1d_with_stats
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 
 
@@ -101,7 +101,7 @@ def run(config: RunConfig) -> dict:
         report, stats = solve_exact_1d_with_stats(market)
         diagnostics = {
             "events": stats.events,
-            "columns": stats.appended,
+            "distinct_qualities": stats.appended,
             "entries": stats.entries,
             "rows_pruned": stats.rows_pruned,
         }

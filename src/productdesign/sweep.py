@@ -6,10 +6,14 @@ strictly less than another yet demands strictly more, so along that order
 the qualities never increase either: the event prices are the price
 column sorted in decreasing order, and the event qualities are the
 quality column sorted the same way, each on its own, so two plain sorts
-build the events.  Only values that compare equal can end up in another
-order than a joint sort would give them, and of those only ``-0.0`` and
-``0.0`` differ, so the reported price and quality are normalized to
-``0.0``.  A market built
+build the events.  A column already stored in ascending order (as
+:func:`~productdesign.market.random_pareto_market` and most sorted
+inputs store it) is not sorted: one O(n) comparison finds that, and the
+column is read in reverse; a shuffled column fails the comparison within
+its first few pairs.  Only values that compare equal can end up in
+another order than a joint sort would give them, and of those only
+``-0.0`` and ``0.0`` differ, so the reported price and quality are
+normalized to ``0.0``.  A market built
 with ``validate=False`` must already be Pareto-consistent: on any other
 market the two sorted columns pair prices with other customers'
 qualities.
@@ -30,47 +34,57 @@ of at most 0 its entry cannot beat the no-profit answer.  Taking every
 event as a column saves the index arrays that would map rows to
 distinct qualities and their columns to events.
 
-For rows ``t < t'`` and columns ``j < j'``,
+Only positive entries can be reported, and for finite floats ``p - q >
+0`` exactly when ``p > q``.  Row ``t``'s positive entries are therefore
+its band ``j0(t) <= j <= t``, where ``j0(t)`` is the first event with
+``q_j < p_t``; as the prices fall, ``j0`` never decreases from row to
+row.  For rows ``t < t'`` and columns ``j < j'``,
 
     M[t][j] + M[t'][j'] - M[t][j'] - M[t'][j]
         = (p_t - p_t')(j' - j) + (q_j - q_j')(t' - t) >= 0,
 
-so once a later column is at least as good as an earlier one it stays so
-in every later row, and the rightmost maximizing column of a row never
-decreases from row to row.  The row maxima are found by divide and
-conquer on that order, in the manner of SMAWK (Aggarwal, Klawe, Moran,
-Shor & Wilber, 1987): the middle row of a block of rows is scanned over
-its block's column range, and its argmax splits the range for the rows
-above and below.  All blocks of one recursion level are scanned in a
-single numpy pass, so a solve is ``ceil(log2(n + 1))`` vectorized passes
-of at most ``2n`` entries each (the column ranges of one pass overlap
-only at their ends): O(n log n) overall.  A pass is evaluated in windows
-of at most ``_ENTRY_BUDGET`` consecutive entries, so its arrays keep one
-size however large ``n`` is, and freed memory is reused by the next
-window instead of being paged in again.  A block cut by a window edge
-merges the maxima of its parts, the later (rightmost) column winning a
-tie, so the windows change no row's maximum or argmax.
+so on the bands the rightmost maximizing column never decreases from
+row to row: if row ``t``'s were some ``j' > j``, row ``t'``'s, all four
+entries would lie in the bands (``j >= j0(t') >= j0(t)`` and ``j' <= t``),
+and the identity would make ``j'`` maximize row ``t'`` as well.  The row
+maxima are found by divide and conquer on that order, in the manner of
+SMAWK (Aggarwal, Klawe, Moran, Shor & Wilber, 1987): the middle row of a
+block of rows is scanned over its band within the block's column range,
+and its argmax splits the range for the rows above and below.  A row
+whose band is empty there has no positive entry; it is not scanned and
+splits at the band's first column instead, since the rows below it reach
+no positive entry left of that column and the rows above it none right
+of it.  All blocks of one recursion level are scanned in a single numpy
+pass, so a solve is ``ceil(log2(n + 1))`` vectorized passes of at most
+``2n`` entries each (the column ranges of one pass overlap only at their
+ends): O(n log n) overall.  A pass is evaluated in windows of at most
+``_ENTRY_BUDGET`` consecutive entries, so its arrays keep one size
+however large ``n`` is, and freed memory is reused by the next window
+instead of being paged in again.  A block cut by a window edge merges
+the maxima of its parts, the later (rightmost) column winning a tie, so
+the windows change no row's maximum or argmax.
 
 Only the overall maximum is needed, so before each pass a block (rows
-``lo..hi``, columns ``lo_col..hi_col``) is dropped when its bound
+``lo..hi``, columns ``lo_col..hi_col``) is dropped when no row of it has
+a band (``j0(lo) > min(hi_col, hi)``) or when its bound
 
-    (p[lo] - q[min(hi_col, hi)]) * (hi + 1 - lo_col)
+    (p[lo] - q[min(hi_col, hi)]) * (hi + 1 - max(lo_col, j0(lo)))
 
 is strictly below the best entry found so far (0 at the start): the
 highest price of the block, less the lowest quality any of its rows
-reaches, times its largest count.  Float subtraction and multiplication
-round monotonically, so no float entry with a nonnegative margin exceeds
-the float bound; when the bound's margin is negative every entry of the
-block is negative.  A row holding the maximum is therefore never dropped.
-Ties with the best are kept, so the first row holding the maximum, and
-its rightmost maximizing column, are still the ones reported; dropping
-ties would let a lower-priced row found in an earlier pass stand in for
-a higher-priced row that only ties it.
+reaches, times the largest count of a positive entry.  Float subtraction
+and multiplication round monotonically, so no positive float entry
+exceeds the float bound.  A row holding the maximum is therefore never
+dropped.  Ties with the best are kept, so the first row holding the
+maximum, and its rightmost maximizing column, are still the ones
+reported; dropping ties would let a lower-priced row found in an earlier
+pass stand in for a higher-priced row that only ties it.
 
-The search returns only the rows it scanned; the reported product is the
-first (highest-priced) of them holding the maximum, at its rightmost
-maximizing column, re-evaluated against the market with
-:func:`~productdesign.market.evaluate`.
+The search returns only the rows it scanned, each with a positive
+maximum and the same rightmost maximizing column a scan of the whole row
+gives; the reported product is the first (highest-priced) of them
+holding the maximum, at its rightmost maximizing column, re-evaluated
+against the market with :func:`~productdesign.market.evaluate`.
 """
 
 from __future__ import annotations
@@ -94,11 +108,12 @@ class SweepStats:
 
     ``appended`` counts the distinct qualities and ``duplicate_skips``
     the events that repeat an earlier quality.  Every event is a matrix
-    column: ``entries`` counts the entries the search evaluated over the
-    columns of all events, and ``rows_pruned`` the rows it never scanned,
-    because their block's bound fell below the best entry already found.
-    ``certificate_pushes`` is always 0; it is kept only because the
-    benchmark in ``perfbench/`` reads it.
+    column: ``entries`` counts the entries the search evaluated, all in
+    their rows' positive-margin bands, and ``rows_pruned`` the rows it
+    never scanned, because their block's bound fell below the best entry
+    already found or because the row has no positive-margin entry in its
+    column range.  ``certificate_pushes`` is always 0; it is kept only
+    because the benchmark in ``perfbench/`` reads it.
     """
 
     events: int = 0
@@ -128,16 +143,30 @@ def solve_exact_1d_with_stats(market: Market) -> tuple[ProfitReport, SweepStats]
     if market.dim != 1:
         raise DimensionMismatchError("the sweep solver handles dim=1 markets only")
     n = len(market)
-    # the event order, column by column (see the module docstring); the
-    # search gathers from q entry by entry, so q is sorted in place into
-    # one contiguous array, while p is only read a few rows at a time
-    p = np.sort(market.prices)[::-1]
-    q = -market.qualities[:, 0]
-    q.sort()
-    np.negative(q, out=q)
 
-    rows, row_max, row_arg, entries = _row_maxima(p, q)
-    repeats = int(np.count_nonzero(q[1:] == q[:-1]))
+    def ascending(x):
+        # a shuffled column fails on its first few pairs, so only a
+        # column that starts in order is tested in full
+        return all((y[1:] >= y[:-1]).all() for y in (x[:9], x))
+
+    # the event order, column by column (see the module docstring); a
+    # column stored ascending is only reversed.  The search gathers the
+    # negated qualities entry by entry and looks up the bands in them, so
+    # they form one contiguous ascending array, while p is only read a
+    # few rows at a time and may stay a reversed view
+    p = market.prices
+    if not ascending(p):
+        p = np.sort(p)
+    p = p[::-1]
+    q = market.qualities[:, 0]
+    if ascending(q):
+        negq = -q[::-1]
+    else:
+        negq = -q
+        negq.sort()
+
+    rows, row_max, row_arg, entries = _row_maxima(p, negq)
+    repeats = int(np.count_nonzero(negq[1:] == negq[:-1]))
     stats = SweepStats(
         events=n,
         appended=n - repeats,
@@ -145,36 +174,41 @@ def solve_exact_1d_with_stats(market: Market) -> tuple[ProfitReport, SweepStats]
         entries=entries,
         rows_pruned=n - rows.size,
     )
+    # every searched row has a positive maximum
+    if not rows.size:
+        return NO_PROFITABLE_PRODUCT, stats
 
     # the first (highest-priced) row holding the maximum, and its
     # rightmost (lowest-quality) maximizing column
-    top = row_max.max()
-    if not top > 0.0:
-        return NO_PROFITABLE_PRODUCT, stats
-    at = np.flatnonzero(row_max == top)
+    at = np.flatnonzero(row_max == row_max.max())
     at = at[np.argmin(rows[at])]
-    # + 0.0 turns -0.0 into 0.0: the sorts may order equal zeros either way
+    # + 0.0 and 0.0 - turn -0.0 into 0.0: the sorts may order equal
+    # zeros either way
     best_price = float(p[rows[at]]) + 0.0
-    best_quality = float(q[row_arg[at]]) + 0.0
+    best_quality = 0.0 - float(negq[row_arg[at]])
     return evaluate(market, Product(best_price, (best_quality,))), stats
 
 
 def _row_maxima(
-    p: np.ndarray, q: np.ndarray
+    p: np.ndarray, negq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Maximum and rightmost maximizing column of the searched rows of
-    ``M[t][j] = (p[t] - q[j]) * (t - j + 1)`` over ``j <= t``.
+    ``M[t][j] = (p[t] + negq[j]) * (t - j + 1)`` over ``j <= t``.
 
-    ``p`` holds the event prices and ``q`` the event qualities; ``q`` is
-    gathered entry by entry, so it should be contiguous.  Each pass scans
-    the middle row of every pending block of rows over that block's
-    column range ``lo_col..hi_col`` (cut at the row itself), at most
-    ``_ENTRY_BUDGET`` entries at a time; its argmax bounds the ranges of
-    the rows above and below.  A block whose bound (highest price less
-    lowest reachable quality, times largest count; see the module
-    docstring for why it bounds every float entry) is strictly below the
-    best peak found so far is dropped before the next pass; ties are kept.
-    Returns the searched rows in search order, their maxima and argmax
+    ``p`` holds the event prices and ``negq`` the negated event
+    qualities, so ``p[t] + negq[j]`` is the margin ``p_t - q_j`` to the
+    last bit; ``negq`` is ascending, and as it is gathered entry by entry
+    and searched for each row's band, it should be contiguous.  Each pass
+    scans the middle row of every pending block of rows over its
+    positive-margin band within that block's column range ``lo_col..hi_col``
+    (cut at the row itself), at most ``_ENTRY_BUDGET`` entries at a time;
+    its argmax, or for an empty band the band's first column, bounds the
+    ranges of the rows above and below.  A block with no band, or whose
+    bound (highest price less lowest reachable quality, times largest
+    count of a positive entry; see the module docstring for why it bounds
+    every positive float entry) is strictly below the best peak found so
+    far, is dropped before the next pass; ties are kept.  Returns the
+    searched rows in search order, their maxima (all positive) and argmax
     columns, and the number of entries evaluated.
     """
     n = p.size
@@ -187,49 +221,60 @@ def _row_maxima(
     hi_col = hi.copy()
     while lo.size:
         mid = (lo + hi) >> 1
-        lengths = np.minimum(hi_col, mid) - lo_col + 1
-        ends = np.cumsum(lengths)
+        # a row's band starts at the first column whose quality is below
+        # its price; an empty band leaves the split at that column
+        split = negq.searchsorted(-p[mid], "right")
+        np.maximum(split, lo_col, out=split)
+        lengths = np.minimum(hi_col, mid) - split + 1
+        scanned = lengths > 0
+        rows, first, lengths = mid[scanned], split[scanned], lengths[scanned]
+        ends = lengths.cumsum()
         starts = ends - lengths
-        total = int(ends[-1])
+        total = int(ends[-1]) if ends.size else 0
         entries += total
-        peak = np.full(mid.size, -np.inf)
-        arg = np.empty(mid.size, dtype=np.int64)
-        # flat entry f of block b is column lo_col[b] + f - starts[b]
+        peak = np.full(rows.size, -np.inf)
+        arg = np.empty(rows.size, dtype=np.int64)
+        # flat entry f of scanned row b is column first[b] + f - starts[b]
         for w0 in range(0, total, _ENTRY_BUDGET):
             w1 = min(w0 + _ENTRY_BUDGET, total)
-            b0 = int(np.searchsorted(ends, w0, side="right"))
-            b1 = int(np.searchsorted(starts, w1))
+            b0 = int(ends.searchsorted(w0, "right"))
+            b1 = int(starts.searchsorted(w1))
             cut = np.maximum(starts[b0:b1], w0)
             size = np.minimum(ends[b0:b1], w1) - cut
             cut -= w0
-            col = np.repeat(lo_col[b0:b1] - starts[b0:b1], size)
+            col = (first[b0:b1] - starts[b0:b1]).repeat(size)
             col += np.arange(w0, w1)
-            values = np.repeat(p[mid[b0:b1]], size)
-            values -= q.take(col)
-            count = np.repeat(mid[b0:b1] + 1, size)
+            values = p[rows[b0:b1]].repeat(size)
+            values += negq.take(col)
+            count = (rows[b0:b1] + 1).repeat(size)
             count -= col
             values *= count
             part = np.maximum.reduceat(values, cut)
-            hits = np.flatnonzero(values == np.repeat(part, size))
-            part_arg = col.take(hits.take(np.searchsorted(hits, cut + size) - 1))
+            hits = (values == part.repeat(size)).nonzero()[0]
+            part_arg = col.take(hits.take(hits.searchsorted(cut + size) - 1))
             # a block cut by the window start merges with its earlier
             # part; on a tie the later (rightmost) column wins
             later = part >= peak[b0:b1]
             peak[b0:b1] = np.where(later, part, peak[b0:b1])
             arg[b0:b1] = np.where(later, part_arg, arg[b0:b1])
-        found_rows.append(mid)
+        found_rows.append(rows)
         found_max.append(peak)
         found_arg.append(arg)
-        best = max(best, float(peak.max()))
+        best = max(best, float(peak.max(initial=0.0)))
+        split[scanned] = arg
         above, below = lo < mid, mid < hi
         lo, hi, lo_col, hi_col = (
             np.concatenate((lo[above], mid[below] + 1)),
             np.concatenate((mid[above] - 1, hi[below])),
-            np.concatenate((lo_col[above], arg[below])),
-            np.concatenate((arg[above], hi_col[below])),
+            np.concatenate((lo_col[above], split[below])),
+            np.concatenate((split[above], hi_col[below])),
         )
-        bound = (p[lo] - q[np.minimum(hi_col, hi)]) * (hi + 1 - lo_col)
-        keep = bound >= best
+        price = p[lo]
+        low = negq.searchsorted(-price, "right")
+        np.maximum(low, lo_col, out=low)
+        top = np.minimum(hi_col, hi)
+        bound = (price + negq[top]) * (hi + 1 - low)
+        keep = (low <= top) & (bound >= best)
         lo, hi, lo_col, hi_col = lo[keep], hi[keep], lo_col[keep], hi_col[keep]
     return (
         np.concatenate(found_rows),

@@ -184,7 +184,7 @@ def check_row_maxima(p, q, rows, row_max, row_arg) -> None:
     0: a pruned row that could tie or win is an error.
     """
     assert np.unique(rows).size == rows.size, "a row was searched twice"
-    best = max(float(row_max.max()), 0.0)
+    best = float(row_max.max(initial=0.0))
     searched = dict(zip(rows.tolist(), zip(row_max.tolist(), row_arg.tolist())))
     for t in range(p.size):
         scan = (p[t] - q[: t + 1]) * np.arange(t + 1, 0, -1)

@@ -75,13 +75,13 @@ class TestRun:
             "max_ppu": 2.0,
             "pruned_customers": 0,
         }
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == 6
         assert report["diagnostics"]["events"] == 2
         market, _ = load_market(two_customer_csv)
         _, stats = pd.solve_exact_1d_with_stats(market)
         assert report["diagnostics"] == {
             "events": 2,
-            "columns": 2,
+            "distinct_qualities": 2,
             "entries": stats.entries,
             "rows_pruned": stats.rows_pruned,
         }

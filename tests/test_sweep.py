@@ -61,10 +61,44 @@ def equal_price_market(rng):
     )
 
 
+def negative_margin_market(rng):
+    """Small integer market where most customers pay less than the
+    quality they demand, pruned."""
+    n = int(rng.integers(1, 60))
+    q = rng.integers(0, 30, n)
+    p = q + rng.integers(-10, 3, n)
+    return pd.prune_dominated(
+        [pd.Customer(float(pp), (float(qq),)) for pp, qq in zip(p, q)]
+    )
+
+
+def band_market(rng):
+    """Distinct qualities at least 7 apart and margins in -3..3, so the
+    customers whose margin is not positive have no positive-margin column
+    at all and sit between profitable ones."""
+    n = int(rng.integers(2, 300))
+    q = np.cumsum(rng.integers(7, 12, n)).astype(float)
+    return pd.Market.from_arrays(q + rng.integers(-3, 4, n), q)
+
+
 def shuffled(market, rng):
     """The same customers in a random row order."""
     perm = rng.permutation(len(market))
     return pd.Market.from_arrays(market.prices[perm], market.qualities[perm])
+
+
+def ascending(market):
+    """The same customers stored by ascending price, then quality: in a
+    Pareto-consistent market both columns are then ascending."""
+    order = np.lexsort((market.qualities[:, 0], market.prices))
+    return pd.Market.from_arrays(market.prices[order], market.qualities[order])
+
+
+def search(market):
+    """The 1-D search on the market's events: the event prices and the
+    negated event qualities."""
+    p, q = event_arrays(market)
+    return sweep._row_maxima(p, -q)
 
 
 class TestSweepEvents:
@@ -96,13 +130,14 @@ class TestSweepEvents:
         # the solver sorts the price and the quality column each on its
         # own; on a Pareto-consistent market the search must still get the
         # arrays of the joint (price, quality) order, in any row order, and
-        # the qualities it gathers from must be one contiguous array
+        # the negated qualities it gathers from and searches must be one
+        # contiguous ascending array
         seen = []
-        search = sweep._row_maxima
+        search_rows = sweep._row_maxima
 
         def spy(*arrays):
             seen.append(arrays)
-            return search(*arrays)
+            return search_rows(*arrays)
 
         monkeypatch.setattr(sweep, "_row_maxima", spy)
         rng = np.random.default_rng(23)
@@ -110,14 +145,14 @@ class TestSweepEvents:
         markets += [equal_price_market(rng) for _ in range(150)]
         markets += [float_market(rng, 60, 1) for _ in range(100)]
         for i, market in enumerate(markets):
-            expected = event_arrays(market)
-            for m in (market, shuffled(market, rng)):
+            p, q = event_arrays(market)
+            for m in (market, shuffled(market, rng), ascending(market)):
                 seen.clear()
                 pd.solve_exact_1d(m)
                 (got,) = seen
-                assert len(got) == len(expected)
-                for a, b in zip(got, expected):
-                    assert np.array_equal(a, b), f"market {i}"
+                assert len(got) == 2
+                assert np.array_equal(got[0], p), f"market {i}"
+                assert np.array_equal(got[1], -q), f"market {i}"
                 assert got[1].flags.c_contiguous
 
 
@@ -162,6 +197,22 @@ class TestSolveExact1d:
     def test_no_profit_marker(self):
         rep = pd.solve_exact_1d(market_of((5, [5]), (3, [3])))
         assert rep == pd.NO_PROFITABLE_PRODUCT
+
+    def test_no_positive_margin_searches_nothing(self):
+        # every margin is at most 0, so no row has a positive-margin
+        # column: nothing is scanned and every row counts as pruned
+        rng = np.random.default_rng(5)
+        markets = [market_of((1, [2]), (3, [3]), (5, [5]))]
+        markets.append(market_of((0.0, [-0.0])))
+        for _ in range(20):
+            q = np.sort(rng.integers(0, 50, int(rng.integers(1, 40))))
+            markets.append(pd.Market.from_arrays(q - rng.integers(0, 2), q))
+        for m in markets:
+            for stored in (m, shuffled(m, rng)):
+                rep, stats = pd.solve_exact_1d_with_stats(stored)
+                assert rep == pd.NO_PROFITABLE_PRODUCT
+                assert (stats.entries, stats.rows_pruned) == (0, len(m))
+                assert_search_checked(stored, rep)
 
     def test_rejects_multidimensional(self):
         with pytest.raises(pd.DimensionMismatchError):
@@ -243,9 +294,10 @@ def assert_search_checked(market, report):
     row, every pruned row against the best, and the report's profit
     against the largest searched maximum."""
     p, q = event_arrays(market)
-    rows, row_max, row_arg, _ = sweep._row_maxima(p, q)
+    rows, row_max, row_arg, _ = search(market)
     check_row_maxima(p, q, rows, row_max, row_arg)
-    best = float(row_max.max())
+    # with no row searched, every row was pruned or has no positive entry
+    best = float(row_max.max(initial=0.0))
     if best > 0.0:
         assert report.profit == best
     else:
@@ -256,7 +308,7 @@ def assert_matches_unpruned(market):
     """The pruned search against the unpruned one: the same report, the
     same maximum and argmax on every searched row, and no more entries."""
     p, q = event_arrays(market)
-    rows, row_max, row_arg, entries = sweep._row_maxima(p, q)
+    rows, row_max, row_arg, entries = search(market)
     ref_max, ref_arg, ref_entries = unpruned_row_maxima(p, q)
     assert np.unique(rows).size == rows.size
     assert np.array_equal(row_max, ref_max[rows])
@@ -284,8 +336,12 @@ class TestBlockPruning:
         for seed in range(4):
             m = pd.random_pareto_market(n, 1, seed=seed, value_range=(0, 20 * n))
             stats = assert_matches_unpruned(m)
-            # on this distribution the bound leaves only a few hundred rows
+            # on this distribution the bound leaves only a few hundred rows,
+            # and the positive-margin bands cut the entries scanned in them
+            # (over 90,000 when every row is scanned from its block's first
+            # column)
             assert stats.rows_pruned >= 0.95 * n, f"seed {seed}"
+            assert stats.entries <= 65_000, f"seed {seed}"
 
     def test_matches_unpruned_search_on_tie_heavy_markets(self):
         rng = np.random.default_rng(17)
@@ -309,6 +365,127 @@ class TestBlockPruning:
         assert_matches_unpruned(m)
 
 
+class TestPositiveMarginBand:
+    """Each row is scanned only over its positive-margin columns; a row
+    with none is neither scanned nor returned and splits the column range
+    at its band's first column, so every returned row keeps the maximum
+    and rightmost argmax of its whole row."""
+
+    def test_empty_bands_between_profitable_rows(self):
+        rng = np.random.default_rng(29)
+        for i in range(200):
+            m = band_market(rng)
+            assert_matches_unpruned(m)
+            _, row_max, _, _ = search(m)
+            assert (row_max > 0.0).all(), f"market {i}"
+
+    def test_empty_middle_row_splits_at_its_band(self):
+        # events (10,8), (5,6), (3,0): the first pass's middle row, event
+        # 1, has no quality below its price before column 2, so it is not
+        # scanned; rows 0 and 2 are, each over its one positive column
+        m = market_of((10, [8]), (5, [6]), (3, [0]))
+        rows, row_max, row_arg, entries = search(m)
+        assert rows.tolist() == [0, 2] and row_max.tolist() == [2.0, 3.0]
+        assert row_arg.tolist() == [0, 2] and entries == 2
+        rep, stats = pd.solve_exact_1d_with_stats(m)
+        assert rep.product == pd.Product(3, (0,)) and rep.profit == 3.0
+        assert (stats.entries, stats.rows_pruned) == (2, 1)
+        assert_matches_unpruned(m)
+
+    def test_block_bound_counts_from_the_band(self):
+        # events (13,10), (4,2), (2,1): the first pass scans row 1, whose
+        # entry (4 - 2) * 1 = 2 becomes the running best.  Row 2's block
+        # has columns 1..2, but only column 2 has a quality below its
+        # price, so its bound is (2 - 1) * 1 = 1 < 2 and it is dropped;
+        # counted from column 1 the bound would tie the best.
+        m = market_of((2, [1]), (4, [2]), (13, [10]))
+        rep, stats = pd.solve_exact_1d_with_stats(m)
+        assert rep.product == pd.Product(13, (10,)) and rep.profit == 3.0
+        assert (stats.entries, stats.rows_pruned) == (2, 1)
+        assert_matches_unpruned(m)
+
+
+class TestStoredOrder:
+    """A column stored in ascending order is read in reverse instead of
+    sorted; either way the search gets the same events, so the report,
+    the counts and every searched row are those of a shuffled copy."""
+
+    @staticmethod
+    def markets(rng):
+        yield from (tie_heavy_market(rng) for _ in range(60))
+        yield from (equal_price_market(rng) for _ in range(60))
+        yield from (float_market(rng, 60, 1) for _ in range(60))
+        yield from (float_market(rng, 60, 1, ties=True) for _ in range(60))
+        yield from (negative_margin_market(rng) for _ in range(60))
+        yield from (band_market(rng) for _ in range(20))
+        for seed in range(4):
+            n = int(rng.integers(1, 3000))
+            yield pd.random_pareto_market(n, 1, seed=seed, value_range=(0, 20 * n))
+
+    def test_ascending_and_shuffled_columns_agree(self, monkeypatch):
+        seen = []
+        search_rows = sweep._row_maxima
+
+        def spy(p, negq):
+            seen.append(search_rows(p, negq))
+            return seen[-1]
+
+        monkeypatch.setattr(sweep, "_row_maxima", spy)
+        rng = np.random.default_rng(31)
+        for i, m in enumerate(self.markets(rng)):
+            got = []
+            for stored in (ascending(m), shuffled(m, rng)):
+                seen.clear()
+                got.append((pd.solve_exact_1d_with_stats(stored), seen[0]))
+            (solved, rows), (solved_shuffled, rows_shuffled) = got
+            assert solved == solved_shuffled, f"market {i}"
+            for a, b in zip(rows, rows_shuffled):
+                assert np.array_equal(a, b), f"market {i}"
+
+    def test_ascending_prices_are_read_in_place(self, monkeypatch):
+        # a sorted copy would not share the market's memory
+        seen = []
+        search_rows = sweep._row_maxima
+
+        def spy(p, negq):
+            seen.append(p)
+            return search_rows(p, negq)
+
+        monkeypatch.setattr(sweep, "_row_maxima", spy)
+        m = pd.random_pareto_market(500, 1, seed=3, value_range=(0, 10_000))
+        rep = pd.solve_exact_1d(m)
+        assert np.shares_memory(seen[0], m.prices)
+        assert rep == direct_scan_report(m)[0]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(2.0, 0.0), (2.0, -0.0), (0.0, -1.0), (-0.0, -1.0)],
+            [(1.0, 0.0), (1.0, -0.0), (0.0, -3.0), (-0.0, -3.0)],
+            [(-0.0, -0.0), (0.0, 0.0), (1.0, 0.0)],
+        ],
+    )
+    def test_signed_zeros_in_either_stored_order(self, rows):
+        # ascending storage keeps -0.0 before 0.0 or after it, as given
+        results = set()
+        for order in itertools.permutations(rows):
+            for stored in (order, sorted(order)):
+                m = market_of(*((p, [q]) for p, q in stored))
+                rep, stats = pd.solve_exact_1d_with_stats(m)
+                product = rep.product
+                results.add(
+                    (
+                        repr(product.price),
+                        repr(product.qualities[0]),
+                        rep.buyers,
+                        rep.profit,
+                        stats.entries,
+                        stats.rows_pruned,
+                    )
+                )
+        assert len(results) == 1
+
+
 class TestEntryWindows:
     """Each pass runs in windows of at most ``_ENTRY_BUDGET`` entries; a
     block cut by a window edge merges its parts, the later column winning
@@ -323,14 +500,14 @@ class TestEntryWindows:
             pd.random_pareto_market(600, 1, seed=8, value_range=(0, 12_000))
         )
         expected = [
-            (pd.solve_exact_1d_with_stats(m), sweep._row_maxima(*event_arrays(m)))
+            (pd.solve_exact_1d_with_stats(m), search(m))
             for m in markets
         ]
         for budget in (1, 2, 7):
             monkeypatch.setattr(sweep, "_ENTRY_BUDGET", budget)
             for i, (m, (solved, searched)) in enumerate(zip(markets, expected)):
                 assert pd.solve_exact_1d_with_stats(m) == solved, f"market {i}"
-                got = sweep._row_maxima(*event_arrays(m))
+                got = search(m)
                 for a, b in zip(got[:3], searched[:3]):
                     assert np.array_equal(a, b), f"budget {budget}, market {i}"
 
