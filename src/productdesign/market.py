@@ -245,22 +245,42 @@ class Market:
 # ---------------------------------------------------------------------------
 
 
+def _ascending(x: np.ndarray) -> bool:
+    """Whether ``x`` is stored in ascending order, by one O(n) comparison.
+
+    A shuffled column fails on its first few pairs, so only a column that
+    starts in order is tested in full.  ``-0.0`` and ``0.0`` compare
+    equal, so they may stand in either order."""
+    return all((y[1:] >= y[:-1]).all() for y in (x[:9], x))
+
+
 def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Mask of the dominated customers for one quality axis ``q``: those
     with a strictly cheaper customer who demands strictly more.
 
-    Each equal-price group is reduced as a whole, so the order within a
-    group does not matter and the sort need not be stable."""
-    order = np.argsort(prices)
-    ps, qs = prices[order], q[order]
-    new_group = np.r_[True, ps[1:] != ps[:-1]]
-    starts = np.flatnonzero(new_group)
-    group_max = np.maximum.reduceat(qs, starts)
-    # max requirement among strictly cheaper customers, per price group
-    prev_max = np.r_[-np.inf, np.maximum.accumulate(group_max)[:-1]]
-    gid = np.cumsum(new_group, dtype=np.int64) - 1
+    In price order (any order among equal prices; a price column stored
+    ascending is used as it is), let ``run`` be the running maximum of
+    the requirements.  A strictly cheaper customer comes earlier, so a
+    dominated customer demands less than its ``run``.  A customer who
+    does but is not dominated stands behind an equal-price customer who
+    demands more, so only these candidates take the exact test: with
+    ``g`` the first position of the candidate's price group, it is
+    dominated when ``g > 0`` and it demands less than ``run[g - 1]``,
+    the most any strictly cheaper customer demands.  Only comparisons
+    and maxima are used, so the mask is exact in floating point, and
+    ``-0.0`` and ``0.0`` prices form one group, as ``<`` treats them.
+    """
+    if _ascending(prices):
+        order, ps, qs = None, prices, q
+    else:
+        order = np.argsort(prices)
+        ps, qs = prices[order], q[order]
+    run = np.maximum.accumulate(qs)
+    cand = np.flatnonzero(qs < run)
+    g = ps.searchsorted(ps[cand])
+    cand = cand[(g > 0) & (qs[cand] < run[g - 1])]
     mask = np.zeros(prices.size, dtype=bool)
-    mask[order] = qs < prev_max[gid]
+    mask[cand if order is None else order[cand]] = True
     return mask
 
 
@@ -287,7 +307,8 @@ def _pareto_witness(
 def _dominated_mask(prices: np.ndarray, qualities: np.ndarray) -> np.ndarray:
     """Boolean mask of customers dominated by some other customer.
 
-    O(n log n) for one quality and O(n log^2 n) for two; three or more
+    O(n log n) for one quality (O(n) when the prices are stored
+    ascending) and O(n log^2 n) for two; three or more
     compare every pair, and raise :class:`GuardExceededError` before any
     work when the ``n**2`` comparisons exceed :data:`PARETO_GUARD`.
     """

@@ -10,11 +10,13 @@ build the events.  A column already stored in ascending order (as
 :func:`~productdesign.market.random_pareto_market` and most sorted
 inputs store it) is not sorted: one O(n) comparison finds that, and the
 column is read in reverse; a shuffled column fails the comparison within
-its first few pairs.  Only values that compare equal can end up in
-another order than a joint sort would give them, and of those only
-``-0.0`` and ``0.0`` differ, so the reported price and quality are
-normalized to ``0.0``.  A market built
-with ``validate=False`` must already be Pareto-consistent: on any other
+its first few pairs.  That test is
+:func:`~productdesign.market._ascending`, which the Pareto check of a
+1-D market shares to skip its own sort.  Only values that compare equal
+can end up in another order than a joint sort would give them, and of
+those only ``-0.0`` and ``0.0`` differ, so the reported price and
+quality are normalized to ``0.0``.  A market built with
+``validate=False`` must already be Pareto-consistent: on any other
 market the two sorted columns pair prices with other customers'
 qualities.
 
@@ -94,7 +96,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .market import NO_PROFITABLE_PRODUCT, Market, Product, ProfitReport, evaluate
+from .market import (
+    NO_PROFITABLE_PRODUCT,
+    Market,
+    Product,
+    ProfitReport,
+    _ascending,
+    evaluate,
+)
 
 # entries one window of a search pass evaluates at most: each window
 # allocates a few arrays of this length, so the pass arrays keep one size
@@ -144,22 +153,17 @@ def solve_exact_1d_with_stats(market: Market) -> tuple[ProfitReport, SweepStats]
         raise DimensionMismatchError("the sweep solver handles dim=1 markets only")
     n = len(market)
 
-    def ascending(x):
-        # a shuffled column fails on its first few pairs, so only a
-        # column that starts in order is tested in full
-        return all((y[1:] >= y[:-1]).all() for y in (x[:9], x))
-
     # the event order, column by column (see the module docstring); a
     # column stored ascending is only reversed.  The search gathers the
     # negated qualities entry by entry and looks up the bands in them, so
     # they form one contiguous ascending array, while p is only read a
     # few rows at a time and may stay a reversed view
     p = market.prices
-    if not ascending(p):
+    if not _ascending(p):
         p = np.sort(p)
     p = p[::-1]
     q = market.qualities[:, 0]
-    if ascending(q):
+    if _ascending(q):
         negq = -q[::-1]
     else:
         negq = -q

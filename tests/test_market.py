@@ -142,7 +142,23 @@ def _dense_dominated(prices, qualities):
 
 
 def _pareto_markets(rng, d):
-    """Tie-heavy integer, equal-price float and larger integer inputs."""
+    """Each of :func:`_drawn_markets` as drawn, then stored by ascending
+    price with equal-price ties in ascending and in descending first
+    quality; the second sorted copy writes every other 0.0 price as -0.0,
+    so a price group can hold both zeros."""
+    for prices, q in _drawn_markets(rng, d):
+        yield prices, q
+        for sign in (1, -1):
+            order = np.lexsort((sign * q[:, 0], prices))
+            p = prices[order]
+            if sign < 0:
+                p[np.flatnonzero(p == 0)[::2]] = -0.0
+            yield p, q[order]
+
+
+def _drawn_markets(rng, d):
+    """Tie-heavy integer, equal-price float and larger integer inputs, and
+    for one quality larger float inputs with many equal-price groups."""
     for t in range(300):
         n = int(rng.integers(1, 40))
         k = int(rng.integers(1, 5))
@@ -155,6 +171,10 @@ def _pareto_markets(rng, d):
     for n in (500, 1500, 3000):
         q = rng.integers(0, 101, (n, d)).astype(float)
         yield q.sum(axis=1) + rng.integers(1, 6, n), q
+    if d == 1:
+        for n in (4000, 5000, 6000):
+            prices = rng.integers(0, n // 20, n) * 0.3
+            yield prices, np.round(prices + rng.uniform(-3, 3, n), 1)[:, None]
 
 
 class TestDominatedMask:
@@ -197,6 +217,26 @@ class TestDominatedMask:
         assert peak < 100_000  # one block of the scan is n * 1000 bytes
         monkeypatch.setattr(market_mod, "PARETO_GUARD", n * n)
         assert not market_mod._dominated_mask(prices, q).any()
+
+    @pytest.mark.parametrize(
+        ("shuffled", "bytes_per_customer"), [(False, 16), (True, 40)]
+    )
+    def test_one_quality_scratch_memory(self, shuffled, bytes_per_customer):
+        # a price column stored ascending is not sorted or gathered
+        n = 200_000
+        market = pd.random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
+        prices, q = market.prices, market.qualities
+        if shuffled:
+            order = np.random.default_rng(8).permutation(n)
+            prices, q = prices[order], q[order]
+        tracemalloc.start()
+        try:
+            mask = market_mod._dominated_mask(prices, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not mask.any()
+        assert peak <= bytes_per_customer * n
 
     def test_guard_applies_to_three_or_more_qualities_only(self, monkeypatch):
         monkeypatch.setattr(market_mod, "PARETO_GUARD", 0)
