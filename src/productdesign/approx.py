@@ -37,6 +37,14 @@ ladder in its usual order, with the lowest level's outcome reused when
 the walk reaches it, every searched level and the winner, ties included,
 are the ones a search of every level gives.
 
+The searched levels share one setup.  The lowest level's customers are
+sorted once by descending margin, so level ``c`` is the prefix of those
+with margin at least ``c``, with sizes ``margin - c``; their corners are
+sorted once per axis into one grid, and each level slices only its own
+prefix's grid lines, picked out of that grid without another sort.  The
+float operations are the ones a level projected on its own would do, so
+every level's depth and point are unchanged.
+
 In floating point the product lifted from level ``c`` has a margin and a
 buyer set that differ from the real-number ones by rounding: its margin
 may exceed ``c`` by an ulp, and a customer whose rounded margin is a few
@@ -65,7 +73,13 @@ from .market import (
     ProfitReport,
     evaluate,
 )
-from .simplices import SimplexArray, SimplexHomothet, deepest_point_exact
+from .simplices import (
+    SimplexArray,
+    SimplexHomothet,
+    _CornerGrid,
+    _GridSlicer,
+    deepest_point_exact,  # noqa: F401  (perfbench/spans.py wraps this name)
+)
 
 
 @dataclass(frozen=True)
@@ -136,16 +150,6 @@ def level_schedule(r: float, epsilon: float, n: int) -> LevelSchedule:
     return LevelSchedule(r, epsilon, tuple(r * shrink**i for i in range(count + 1)))
 
 
-def _projection(
-    market: Market, margins: np.ndarray, c: float
-) -> tuple[SimplexArray, np.ndarray]:
-    """Homothets of the customers with margin at least ``c``, and their indices."""
-    if c <= 0:
-        raise ValueError(f"level constant must be positive, got {c}")
-    idx = np.flatnonzero(margins >= c)
-    return SimplexArray(market.qualities[idx], margins[idx] - c), idx
-
-
 def project_customers(market: Market, c: float) -> list[tuple[SimplexHomothet, int]]:
     """Customers' reach on the margin-``c`` plane, as (homothet, index) pairs.
 
@@ -153,7 +157,11 @@ def project_customers(market: Market, c: float) -> list[tuple[SimplexHomothet, i
     requirements and size ``ppu_j - c``; customers with smaller margins
     cannot consider any product that profitable and are omitted.
     """
-    sims, idx = _projection(market, _margins(market), c)
+    if c <= 0:
+        raise ValueError(f"level constant must be positive, got {c}")
+    margins = _margins(market)
+    idx = np.flatnonzero(margins >= c)
+    sims = SimplexArray(market.qualities[idx], margins[idx] - c)
     return list(zip(sims, map(int, idx)))
 
 
@@ -184,17 +192,18 @@ def _rounding_pad(market: Market) -> float:
 
 
 def _search_level(
-    market: Market, margins: np.ndarray, i: int, c: float
+    market: Market, grid: _CornerGrid, ms: np.ndarray, i: int, c: float
 ) -> tuple[LevelOutcome, ProfitReport] | None:
     """Deepest product of level ``i`` and its report; ``None`` if no
-    customer reaches margin ``c``."""
-    sims, _ = _projection(market, margins, c)
-    if not sims:
+    customer reaches margin ``c``.  ``ms`` holds the margins of the
+    grid's customers, in descending order."""
+    m = ms.size - int(np.searchsorted(ms[::-1], c))  # customers with margin >= c
+    if not m:
         return None
-    found = deepest_point_exact(sims)
+    found = _GridSlicer(grid, ms[:m] - c).solve()
     product = lift_point(found.point, c)
     report = evaluate(market, product)
-    return LevelOutcome(i, c, len(sims), found.depth, product, report.profit), report
+    return LevelOutcome(i, c, m, found.depth, product, report.profit), report
 
 
 def solve_approx_detailed(
@@ -220,10 +229,17 @@ def solve_approx_detailed(
     top = int(np.argmax(margins))
     best = evaluate(market, lift_point(market.qualities[top], r))
 
+    # The lowest level's customers by descending margin, ties in index
+    # order: every level is a prefix of them, on one corner grid.
+    low = np.flatnonzero(margins >= levels[-1])
+    order = low[np.argsort(-margins[low], kind="stable")]
+    ms = margins[order]
+    grid = _CornerGrid(market.qualities[order])
+
     # The lowest level holds the top customer, so it is never empty; its
     # depth caps every level above it (module notes).
     last = len(levels) - 1
-    lowest = _search_level(market, margins, last, levels[last])
+    lowest = _search_level(market, grid, ms, last, levels[last])
     pad = _rounding_pad(market)
     cap = None
     if last and levels[-2] - levels[-1] > 16 * pad:
@@ -239,7 +255,7 @@ def solve_approx_detailed(
         if i == last:
             found = lowest
         elif (c + pad) * bound[i] > best.profit:
-            found = _search_level(market, margins, i, c)
+            found = _search_level(market, grid, ms, i, c)
         else:
             found = None
         if found is None:

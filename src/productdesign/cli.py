@@ -7,6 +7,7 @@ instance-size guard trips.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,6 +37,8 @@ from .sweep import solve_exact_1d_with_stats
 
 SCHEMA_VERSION = 6
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
+# Tolerance of `bench approx`, the one the benchmark's approx workload uses.
+BENCH_EPSILON = 0.25
 
 
 @dataclass(frozen=True)
@@ -194,33 +197,70 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.target == "sweep":
-        sizes = [int(s) for s in args.sizes.split(",")]
-        rows = []
-        for n in sizes:
-            # the distribution criterion 8 times: nearly every quality distinct
-            market = random_pareto_market(
-                n, 1, seed=args.seed, value_range=(0, 20 * n)
-            )
-            start = time.perf_counter()
-            report, stats = solve_exact_1d_with_stats(market)
-            ms = (time.perf_counter() - start) * 1000.0
-            rows.append(
-                {
-                    "n": n,
-                    "ms": round(ms, 3),
-                    "profit": report.profit,
-                    "entries": stats.entries,
-                    "rows_pruned": stats.rows_pruned,
-                }
-            )
-        ratios = [
-            round(rows[i]["ms"] / rows[i - 1]["ms"], 3) if rows[i - 1]["ms"] else None
-            for i in range(1, len(rows))
-        ]
-        _emit({"bench": "sweep", "runs": rows, "time_ratios": ratios}, args.output)
-        return 0
+def _time_ratios(rows: list[dict]) -> list[float | None]:
+    return [
+        round(rows[i]["ms"] / rows[i - 1]["ms"], 3) if rows[i - 1]["ms"] else None
+        for i in range(1, len(rows))
+    ]
+
+
+def _bench_sweep(args) -> int:
+    rows = []
+    for n in (int(s) for s in args.sizes.split(",")):
+        # the distribution criterion 8 times: nearly every quality distinct
+        market = random_pareto_market(n, 1, seed=args.seed, value_range=(0, 20 * n))
+        start = time.perf_counter()
+        report, stats = solve_exact_1d_with_stats(market)
+        ms = (time.perf_counter() - start) * 1000.0
+        rows.append(
+            {
+                "n": n,
+                "ms": round(ms, 3),
+                "profit": report.profit,
+                "entries": stats.entries,
+                "rows_pruned": stats.rows_pruned,
+            }
+        )
+    payload = {"bench": "sweep", "runs": rows, "time_ratios": _time_ratios(rows)}
+    _emit(payload, args.output)
+    return 0
+
+
+def _bench_approx(args) -> int:
+    rows = []
+    for n in (int(s) for s in args.sizes.split(",")):
+        # the float regime: every corner value distinct, so each level's
+        # grid has about as many lines per axis as the level has customers
+        rng = np.random.default_rng(args.seed)
+        q = rng.uniform(0, 100, size=(n, args.d))
+        market = _prune_arrays(q.sum(axis=1) + rng.uniform(1, 5, size=n), q)
+        start = time.perf_counter()
+        report, levels, ladder = solve_approx_detailed(market, BENCH_EPSILON)
+        ms = (time.perf_counter() - start) * 1000.0
+        rows.append(
+            {
+                "n": n,
+                "pruned_n": len(market),
+                "ms": round(ms, 3),
+                "levels_searched": len(levels),
+                "levels_skipped": ladder.levels_skipped,
+                "profit": report.profit,
+            }
+        )
+    _emit(
+        {
+            "bench": "approx",
+            "d": args.d,
+            "epsilon": BENCH_EPSILON,
+            "runs": rows,
+            "time_ratios": _time_ratios(rows),
+        },
+        args.output,
+    )
+    return 0
+
+
+def _bench_arrangement(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     depths = [int(k) for k in args.depths.split(",")]
     rows = []
@@ -281,7 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     bsweep.add_argument("--sizes", default="250000,500000,1000000")
     bsweep.add_argument("--seed", type=int, default=0)
     bsweep.add_argument("--output", default=None)
-    bsweep.set_defaults(func=_cmd_bench)
+    bsweep.set_defaults(func=_bench_sweep)
+    bapprox = bench_sub.add_parser(
+        "approx", help="approximation timing on pruned float markets"
+    )
+    bapprox.add_argument("--sizes", default="2500,5000,10000")
+    bapprox.add_argument("--d", type=int, default=2)
+    bapprox.add_argument("--seed", type=int, default=0)
+    bapprox.add_argument("--output", default=None)
+    bapprox.set_defaults(func=_bench_approx)
     barr = bench_sub.add_parser(
         "arrangement", help="arrangement vertex-count ratio logging"
     )
@@ -289,14 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
     barr.add_argument("--depths", default="2,4,8")
     barr.add_argument("--seed", type=int, default=0)
     barr.add_argument("--output", default=None)
-    barr.set_defaults(func=_cmd_bench)
+    barr.set_defaults(func=_bench_arrangement)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call.  Each
+    ``parse_args`` call fills a new namespace from the parser's defaults,
+    so no option leaks from one call into the next."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceededError as e:

@@ -269,8 +269,14 @@ def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> np.ndarray:
     the most any strictly cheaper customer demands.  Only comparisons
     and maxima are used, so the mask is exact in floating point, and
     ``-0.0`` and ``0.0`` prices form one group, as ``<`` treats them.
+
+    When the requirements are stored ascending too, every strictly
+    cheaper customer comes earlier and demands no more, so no customer is
+    dominated and the mask is returned before any pass.
     """
     if _ascending(prices):
+        if _ascending(q):
+            return np.zeros(prices.size, dtype=bool)
         order, ps, qs = None, prices, q
     else:
         order = np.argsort(prices)

@@ -26,7 +26,9 @@ last axis every grid line is stabbed by its runs at once.  The work is
 the number of pairs expanded plus the stab events, which follows the
 arrangement's local depth rather than the grid's size; it is counted
 before each expansion allocates anything, so an oversized query is
-refused before it grows.
+refused before it grows.  The corner values are sorted once per set of
+homothets (``_CornerGrid``); any first ``m`` of them, as an approximation
+level is, take their own grid lines from that sort.
 
 Homothets can be given one object at a time (:class:`SimplexHomothet`) or
 as arrays (:class:`SimplexArray`); every query accepts either.  All
@@ -272,11 +274,51 @@ class DepthResult:
     depth: int
 
 
+class _CornerGrid:
+    """Per-axis distinct corner values of a set of homothets, sorted once.
+
+    ``values[k]`` holds the sorted distinct axis-``k`` values, ``first[k]``
+    the index of the first corner with each value and ``inverse[k]`` each
+    corner's position among them.  The grid of the first ``m`` corners
+    keeps the values whose first corner is among them (a mask), and a
+    corner's position on it is the number of kept values up to its own
+    (a ``cumsum``), so no prefix is sorted or searched again.  The corner
+    sums ``csum`` and the sums after each axis ``rest[k]`` are per-corner
+    row sums, the same for a prefix as for the whole set.
+    """
+
+    def __init__(self, corners: np.ndarray):
+        self.n, self.d = corners.shape
+        self.cols = [np.ascontiguousarray(corners[:, k]) for k in range(self.d)]
+        self.csum = corners.sum(axis=1)
+        self.rest = [corners[:, k + 1 :].sum(axis=1) for k in range(self.d)]
+        self.values, self.first, self.inverse = zip(
+            *(
+                np.unique(col, return_index=True, return_inverse=True)
+                for col in self.cols
+            )
+        )
+
+    def axes(self, m: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Sorted distinct values of the first ``m`` corners per axis, and
+        each of those corners' positions among them."""
+        if m == self.n:
+            return list(self.values), list(self.inverse)
+        axes, pos = [], []
+        for values, first, inverse in zip(self.values, self.first, self.inverse):
+            keep = first < m
+            axes.append(values[keep])
+            pos.append((np.cumsum(keep) - 1)[inverse[:m]])
+        return axes, pos
+
+
 class _GridSlicer:
     """Deepest corner-grid point of a set of homothets, one axis at a time.
 
-    Grid points are indexed by their per-axis positions in the sorted
-    distinct corner values ``axes[k]`` (``m_k`` of them).  A homothet
+    The homothets are the first ``m`` corners of a :class:`_CornerGrid`
+    with the ``m`` given sizes, sliced on their own grid: grid points are
+    indexed by their per-axis positions in the sorted distinct values
+    ``axes[k]`` (``m_k`` of them) of those ``m`` corners only.  A homothet
     contains grid point ``x`` under the grid's own float predicate: every
     ``x_k >= a_k`` and ``((0.0 + x_0) + x_1) + ... <= sum(a) + s``, summed
     in axis order.  That sum never decreases when a coordinate grows, so
@@ -297,29 +339,28 @@ class _GridSlicer:
     ``cumsum``, closes before opens at a key; the first maximum is the
     lexicographically smallest deepest point.  Expansions of more than
     ``_PAIR_BUDGET`` pairs run one key window at a time, in key order.
+    The work done so far is ``work``.
     """
 
-    def __init__(self, corners: np.ndarray, sizes: np.ndarray):
-        self.n, self.d = corners.shape
-        self.cols = [np.ascontiguousarray(corners[:, k]) for k in range(self.d)]
-        self.caps = corners.sum(axis=1) + sizes
-        # Per-axis sorted values and each corner's position among them.
-        self.axes = [np.unique(col) for col in self.cols]
-        self.pos = [np.searchsorted(ax, col) for ax, col in zip(self.axes, self.cols)]
+    def __init__(self, grid: _CornerGrid, sizes: np.ndarray):
+        self.n, self.d = sizes.size, grid.d
+        self.cols = [col[: self.n] for col in grid.cols]
+        self.caps = grid.csum[: self.n] + sizes
         # Sum of the coordinates after axis k, for the estimate of `hi`.
-        self.rest = [corners[:, k + 1 :].sum(axis=1) for k in range(self.d)]
+        self.rest = [rest[: self.n] for rest in grid.rest]
+        self.axes, self.pos = grid.axes(self.n)
         self.rank_rows = math.prod(ax.size for ax in self.axes) >= _DIRECT_KEY_CELLS
         self.work = 0
 
-    def solve(self) -> tuple[int, tuple[int, ...]]:
-        """Max depth and the grid positions of the lex-smallest deepest point."""
+    def solve(self) -> DepthResult:
+        """Max depth and the lex-smallest grid point attaining it."""
         sim = np.arange(self.n)
         part = np.zeros(self.n)
         end = self._ends(0, sim, part)
         depth, key, tail = self._stage(0, sim, part, self.pos[0], end)
-        if depth == 0:  # only if rounding keeps every homothet off the grid
-            return 0, (0,) * self.d
-        return depth, (key,) + tail
+        # depth 0 only if rounding keeps every homothet off the grid
+        at = (key,) + tail if depth else (0,) * self.d
+        return DepthResult(tuple(float(ax[i]) for ax, i in zip(self.axes, at)), depth)
 
     def _charge(self, work: int):
         self.work += work
@@ -443,10 +484,7 @@ def deepest_point_exact(simplices: Sequence[SimplexHomothet]) -> DepthResult:
     expanding at most ``_PAIR_BUDGET`` pairs at once.
     """
     corners, sizes = _as_arrays(simplices)
-    slicer = _GridSlicer(corners, sizes)
-    depth, at = slicer.solve()
-    point = tuple(float(slicer.axes[k][i]) for k, i in enumerate(at))
-    return DepthResult(point, depth)
+    return _GridSlicer(_CornerGrid(corners), sizes).solve()
 
 
 # ---------------------------------------------------------------------------

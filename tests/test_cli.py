@@ -1,10 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import productdesign as pd
-from productdesign import simplices
+from productdesign import market as market_mod, simplices
 from productdesign.cli import RunConfig, load_market, main, run
 
 
@@ -270,6 +275,30 @@ class TestMainExitCodes:
         assert code == 3
         assert "guard" in capsys.readouterr().err
 
+    def test_depth_guard_at_the_lowest_levels_work(self, tmp_path, capsys, monkeypatch):
+        # the lowest level's own slicer work, as a standalone query on its
+        # projection counts it, fits every level of the solve; one less
+        # trips the guard
+        market = pd.random_pareto_market(300, 2, seed=4, value_range=(0, 40))
+        lowest = pd.level_schedule(
+            pd.max_ppu(market), 1.0 - math.sqrt(0.75), len(market)
+        ).levels[-1]
+        sims = [s for s, _ in pd.project_customers(market, lowest)]
+        slicer = simplices._GridSlicer(
+            simplices._CornerGrid(np.array([s.corner for s in sims])),
+            np.array([s.size for s in sims]),
+        )
+        slicer.solve()
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", slicer.work)
+        _, levels, _ = pd.solve_approx_detailed(market, 0.25)
+        assert len(levels) > 1
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", slicer.work - 1)
+        path = tmp_path / "m.csv"
+        path.write_text(pd.market_to_csv(market))
+        argv = ["solve", "--input", str(path), "--algorithm", "approx"]
+        assert main(argv + ["--epsilon", "0.25"]) == 3
+        assert "guard" in capsys.readouterr().err
+
     def test_exact1d_requires_dim1(self, tmp_path, capsys):
         market = pd.random_pareto_market(10, 2, seed=0)
         path = tmp_path / "m.csv"
@@ -302,6 +331,35 @@ class TestMainExitCodes:
         assert code == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["market"]["pruned_customers"] == 1
+
+
+class TestParserReuse:
+    def test_second_call_sees_only_its_own_options(self, two_customer_csv, tmp_path):
+        first, second, fresh = (tmp_path / f"{k}.json" for k in ("a", "b", "c"))
+        solve = ["solve", "--input", two_customer_csv]
+        approx = ["--prune", "--algorithm", "approx", "--epsilon", "0.25"]
+        assert main(solve + approx + ["--output", str(first)]) == 0
+        exact = ["--algorithm", "exact1d"]
+        assert main(solve + exact + ["--output", str(second)]) == 0
+        src = str(Path(pd.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-m", "productdesign.cli"]
+            + solve
+            + exact
+            + ["--output", str(fresh)],
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        reports = []
+        for path in (second, fresh):
+            report = json.loads(path.read_text())
+            del report["timing_ms"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["prune"] is False
+        assert reports[0]["config"]["epsilon"] is None
+        assert json.loads(first.read_text())["config"]["prune"] is True
 
 
 class TestGen:
@@ -379,3 +437,23 @@ class TestBench:
         run0 = payload["runs"][0]
         assert run0["max_depth"] == 3
         assert run0["vertex_count"] <= 100 * 60 * 3
+
+    def test_approx_bench_smoke(self, capsys):
+        argv = ["bench", "approx", "--sizes", "150,300", "--d", "3", "--seed", "2"]
+        code = main(argv)
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["d"], payload["epsilon"]) == (3, 0.25)
+        assert [r["n"] for r in payload["runs"]] == [150, 300]
+        assert len(payload["time_ratios"]) == 1
+        for r in payload["runs"]:
+            # pruned float markets: q ~ U(0, 100)^d, margin ~ U(1, 5)
+            rng = np.random.default_rng(2)
+            q = rng.uniform(0, 100, size=(r["n"], 3))
+            prices = q.sum(axis=1) + rng.uniform(1, 5, size=r["n"])
+            market = market_mod._prune_arrays(prices, q)
+            report, levels, ladder = pd.solve_approx_detailed(market, 0.25)
+            assert r["pruned_n"] == len(market) <= r["n"]
+            assert r["levels_searched"] == len(levels)
+            assert r["levels_skipped"] == ladder.levels_skipped
+            assert r["profit"] == report.profit > 0

@@ -5,12 +5,14 @@ projects and searches each ladder level in order.  The skip must leave
 the report and every searched level's outcome unchanged.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 import productdesign as pd
 from conftest import float_market
+from productdesign import simplices
 
 
 def search_every_level(market, epsilon):
@@ -114,3 +116,34 @@ def test_deep_market_searches_few_levels():
     assert len(outcomes) <= 4
     assert ladder.depth_cap == 2000
     assert report.profit == max(lv.profit for lv in outcomes)
+
+
+def test_windowed_and_ranked_levels_match_every_level(monkeypatch):
+    # each level slices its own prefix of one corner grid; with a tiny
+    # pair budget every expansion runs in key windows, and a zero cell
+    # threshold ranks the row keys, as the largest grids do
+    windows = []
+    key_windows = simplices._key_windows
+
+    def counted(*args):
+        windows.append(1)
+        return key_windows(*args)
+
+    monkeypatch.setattr(simplices, "_key_windows", counted)
+    rng = np.random.default_rng(67)
+    markets = [
+        float_market(rng, int(rng.integers(2, 30)), 2 + i % 2, ties=i % 4 >= 2)
+        for i in range(16)
+    ]
+    for cells, budget in itertools.product((1 << 61, 0), (1, 3, 40)):
+        monkeypatch.setattr(simplices, "_DIRECT_KEY_CELLS", cells)
+        monkeypatch.setattr(simplices, "_PAIR_BUDGET", budget)
+        for market in markets:
+            report, outcomes, _ = pd.solve_approx_detailed(market, 0.25)
+            ref_report, ref_outcomes = search_every_level(market, 0.25)
+            assert repr(report) == repr(ref_report)
+            by_index = {lv.index: lv for lv in ref_outcomes}
+            assert outcomes
+            for lv in outcomes:
+                assert lv == by_index[lv.index]
+    assert windows

@@ -187,6 +187,32 @@ class TestDominatedMask:
             flagged += int(want.sum())
         assert flagged > 1000
 
+    def test_one_quality_both_columns_ascending(self):
+        # both columns stored ascending, with ties and both zeros (-0.0 ==
+        # 0.0, so every other zero written as -0.0 keeps them ascending):
+        # nobody is dominated; one adjacent swap out of order takes the
+        # full pass, which must still match the dense definition
+        rng = np.random.default_rng(19)
+        flagged = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            prices, q = (np.sort(rng.integers(-2, 4, n)).astype(float) for _ in "pq")
+            for col in (prices, q):
+                col[np.flatnonzero(col == 0)[::2]] = -0.0
+            assert market_mod._ascending(prices) and market_mod._ascending(q)
+            want = _dense_dominated(prices, q[:, None]).any(axis=0)
+            assert not want.any()
+            assert not market_mod._dominated_mask(prices, q[:, None]).any()
+            steps = np.flatnonzero(q[1:] > q[:-1])
+            if steps.size:
+                i = int(rng.choice(steps))
+                q[[i, i + 1]] = q[[i + 1, i]]
+                want = _dense_dominated(prices, q[:, None]).any(axis=0)
+                got = market_mod._dominated_mask(prices, q[:, None])
+                assert np.array_equal(got, want)
+                flagged += int(want.sum())
+        assert flagged > 50
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_witness_is_lowest_dominated_and_its_lowest_dominator(self, d):
         checked = 0
