@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .approx import (
     LadderStats,
     LevelOutcome,
-    LevelSchedule,
     level_schedule,
     lift_point,
     max_ppu,
@@ -38,7 +37,6 @@ from .market import (
     evaluate,
     market_to_csv,
     market_to_json,
-    parse_customers_csv,
     parse_customers_json,
     ppu,
     prune_dominated,
@@ -67,7 +65,6 @@ __all__ = [
     "GuardExceededError",
     "LadderStats",
     "LevelOutcome",
-    "LevelSchedule",
     "Market",
     "MarketFormatError",
     "NO_PROFITABLE_PRODUCT",
@@ -90,7 +87,6 @@ __all__ = [
     "market_to_csv",
     "market_to_json",
     "max_ppu",
-    "parse_customers_csv",
     "parse_customers_json",
     "ppu",
     "project_customers",

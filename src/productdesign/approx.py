@@ -66,6 +66,8 @@ from typing import Iterable
 
 import numpy as np
 
+from . import simplices
+from .errors import GuardExceededError
 from .market import (
     NO_PROFITABLE_PRODUCT,
     Market,
@@ -78,17 +80,9 @@ from .simplices import (
     SimplexHomothet,
     _CornerGrid,
     _GridSlicer,
+    _rounding_pad,
     deepest_point_exact,  # noqa: F401  (perfbench/spans.py wraps this name)
 )
-
-
-@dataclass(frozen=True)
-class LevelSchedule:
-    """Geometric ladder of margins searched by the approximation."""
-
-    r: float
-    epsilon: float
-    levels: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -108,10 +102,10 @@ class LadderStats:
     """How much of the ladder a solve skipped.
 
     ``levels_skipped`` counts the levels that were not searched because
-    they could not beat the running best (levels with no customers
-    included); ``depth_cap`` is the lowest level's depth when it bounded
-    the other levels, and ``None`` when the ladder is too fine for the cap
-    to be sound in floating point (see the module notes) or has one level.
+    they could not beat the running best; ``depth_cap`` is the lowest
+    level's depth when it bounded the other levels, and ``None`` when the
+    ladder is too fine for the cap to be sound in floating point (see the
+    module notes) or has one level.
     """
 
     levels_skipped: int
@@ -127,12 +121,16 @@ def max_ppu(market: Market) -> float:
     return float(np.max(_margins(market)))
 
 
-def level_schedule(r: float, epsilon: float, n: int) -> LevelSchedule:
+def level_schedule(r: float, epsilon: float, n: int) -> tuple[float, ...]:
     """Margins ``r * (1 - eps)**i`` for ``i = 0..l`` with ``(1-eps)**l <= 1/n``.
 
     ``l`` is the rounded-up base-``1/(1-eps)`` logarithm of ``n``; the
     closing loop absorbs floating-point drift at exact integer powers and
-    enforces the floor inequality the guarantee rests on.
+    enforces the floor inequality the guarantee rests on.  A searched
+    level evaluates its product against all ``n`` customers, so a ladder
+    whose ``l + 1`` levels times ``n`` passes the module constant
+    ``simplices.EXACT_DEPTH_GUARD`` (read at each call) raises
+    :class:`GuardExceededError` before any margin is made.
     """
     if r <= 0:
         raise ValueError(f"level schedule needs a positive top margin, got {r}")
@@ -147,7 +145,12 @@ def level_schedule(r: float, epsilon: float, n: int) -> LevelSchedule:
         count = max(0, math.ceil(math.log(n) / math.log(1.0 / shrink) - 1e-12))
     while shrink**count > 1.0 / n:
         count += 1
-    return LevelSchedule(r, epsilon, tuple(r * shrink**i for i in range(count + 1)))
+    if (count + 1) * n > simplices.EXACT_DEPTH_GUARD:
+        raise GuardExceededError(
+            f"margin ladder of {count + 1} levels over {n} customers exceeds "
+            f"the {simplices.EXACT_DEPTH_GUARD} guard in levels times customers"
+        )
+    return tuple(r * shrink**i for i in range(count + 1))
 
 
 def project_customers(market: Market, c: float) -> list[tuple[SimplexHomothet, int]]:
@@ -183,23 +186,14 @@ def solve_approx(market: Market, epsilon: float) -> ProfitReport:
     return report
 
 
-def _rounding_pad(market: Market) -> float:
-    """Bound on the rounding that separates a lifted product's margin and
-    buyers from its level's (a few spacings per coordinate of the largest
-    magnitude a price, a margin or a partial quality sum can take)."""
-    scale = np.abs(market.prices).max() + np.abs(market.qualities).max(axis=0).sum()
-    return 4 * (market.dim + 2) * float(np.spacing(scale))
-
-
 def _search_level(
     market: Market, grid: _CornerGrid, ms: np.ndarray, i: int, c: float
-) -> tuple[LevelOutcome, ProfitReport] | None:
-    """Deepest product of level ``i`` and its report; ``None`` if no
-    customer reaches margin ``c``.  ``ms`` holds the margins of the
-    grid's customers, in descending order."""
+) -> tuple[LevelOutcome, ProfitReport]:
+    """Deepest product of level ``i`` and its report.  ``ms`` holds the
+    margins of the grid's customers, in descending order; the top
+    customer's margin is ``r``, at least every level's ``c``, so the
+    level is never empty."""
     m = ms.size - int(np.searchsorted(ms[::-1], c))  # customers with margin >= c
-    if not m:
-        return None
     found = _GridSlicer(grid, ms[:m] - c).solve()
     product = lift_point(found.point, c)
     report = evaluate(market, product)
@@ -213,15 +207,19 @@ def solve_approx_detailed(
     outcomes in ladder order and what the solve skipped."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    # The ladder takes half of the tolerance, multiplicatively (see the
+    # module notes): (1 - part)**2 == 1 - epsilon.
+    part = 1.0 - math.sqrt(1.0 - epsilon)
+    if part <= 0:
+        raise ValueError(
+            f"epsilon {epsilon} is too small: its ladder share "
+            f"1 - sqrt(1 - epsilon) rounds to 0"
+        )
     margins = _margins(market)
     r = float(np.max(margins))
     if r <= 0:
         return NO_PROFITABLE_PRODUCT, [], LadderStats(0, None)
-
-    # The ladder takes half of the tolerance, multiplicatively (see the
-    # module notes): (1 - part)**2 == 1 - epsilon.
-    part = 1.0 - math.sqrt(1.0 - epsilon)
-    levels = level_schedule(r, part, len(market)).levels
+    levels = level_schedule(r, part, len(market))
 
     # Seed the running best with the top customer's own product, which the
     # ladder floor argument needs; later winners must strictly beat it, so
@@ -236,11 +234,13 @@ def solve_approx_detailed(
     ms = margins[order]
     grid = _CornerGrid(market.qualities[order])
 
-    # The lowest level holds the top customer, so it is never empty; its
-    # depth caps every level above it (module notes).
+    # The lowest level's depth caps every level above it (module notes).
     last = len(levels) - 1
     lowest = _search_level(market, grid, ms, last, levels[last])
-    pad = _rounding_pad(market)
+    # A few spacings per coordinate of the largest magnitude a price, a
+    # margin or a partial quality sum can take.
+    scale = np.abs(market.prices).max() + np.abs(market.qualities).max(axis=0).sum()
+    pad = _rounding_pad(scale, market.dim)
     cap = None
     if last and levels[-2] - levels[-1] > 16 * pad:
         cap = lowest[0].depth
@@ -253,15 +253,12 @@ def solve_approx_detailed(
     skipped = 0
     for i, c in enumerate(levels):
         if i == last:
-            found = lowest
+            outcome, report = lowest
         elif (c + pad) * bound[i] > best.profit:
-            found = _search_level(market, grid, ms, i, c)
+            outcome, report = _search_level(market, grid, ms, i, c)
         else:
-            found = None
-        if found is None:
             skipped += 1
             continue
-        outcome, report = found
         outcomes.append(outcome)
         if report.profit > best.profit:
             best = report

@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +38,6 @@ SCHEMA_VERSION = 6
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 # Tolerance of `bench approx`, the one the benchmark's approx workload uses.
 BENCH_EPSILON = 0.25
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One solve invocation, as parsed from the command line."""
-
-    input: str
-    algorithm: str
-    epsilon: float | None = None
-    prune: bool = False
-    output: str | None = None
 
 
 def load_market(path: str, prune: bool = False) -> tuple[Market, int]:
@@ -89,18 +77,20 @@ def _result_section(report) -> dict:
     }
 
 
-def run(config: RunConfig) -> dict:
+def run(
+    input: str, algorithm: str, epsilon: float | None = None, prune: bool = False
+) -> dict:
     """Execute one solve and build the report dict (result re-verified)."""
-    if config.algorithm == "approx":
-        if config.epsilon is None:
+    if algorithm == "approx":
+        if epsilon is None:
             raise ValueError("--epsilon is required for the approx algorithm")
-    elif config.epsilon is not None:
-        raise ValueError(f"--epsilon only applies to approx, not {config.algorithm}")
-    market, pruned = load_market(config.input, config.prune)
+    elif epsilon is not None:
+        raise ValueError(f"--epsilon only applies to approx, not {algorithm}")
+    market, pruned = load_market(input, prune)
 
     start = time.perf_counter()
     diagnostics: dict
-    if config.algorithm == "exact1d":
+    if algorithm == "exact1d":
         report, stats = solve_exact_1d_with_stats(market)
         diagnostics = {
             "events": stats.events,
@@ -108,8 +98,8 @@ def run(config: RunConfig) -> dict:
             "entries": stats.entries,
             "rows_pruned": stats.rows_pruned,
         }
-    elif config.algorithm == "approx":
-        report, levels, ladder = solve_approx_detailed(market, config.epsilon)
+    elif algorithm == "approx":
+        report, levels, ladder = solve_approx_detailed(market, epsilon)
         diagnostics = {
             "levels": [
                 {
@@ -134,16 +124,16 @@ def run(config: RunConfig) -> dict:
         check = evaluate(market, report.product)
         if check.profit != report.profit or check.buyers != report.buyers:
             raise AssertionError("solver result failed re-evaluation")
-    elif max_ppu(market) > 0 and config.algorithm != "approx":
+    elif max_ppu(market) > 0 and algorithm != "approx":
         raise AssertionError("no-profit result despite a positive customer margin")
 
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
-            "input": config.input,
-            "algorithm": config.algorithm,
-            "epsilon": config.epsilon,
-            "prune": config.prune,
+            "input": input,
+            "algorithm": algorithm,
+            "epsilon": epsilon,
+            "prune": prune,
         },
         "market": {
             "n": len(market),
@@ -166,14 +156,7 @@ def _emit(payload: dict, output: str | None):
 
 
 def _cmd_solve(args) -> int:
-    config = RunConfig(
-        input=args.input,
-        algorithm=args.algorithm,
-        epsilon=args.epsilon,
-        prune=args.prune,
-        output=args.output,
-    )
-    _emit(run(config), config.output)
+    _emit(run(args.input, args.algorithm, args.epsilon, args.prune), args.output)
     return 0
 
 

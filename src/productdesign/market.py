@@ -64,8 +64,9 @@ def _quality_tuple(qualities: Iterable[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class Customer:
-    """A buyer: the most they will pay and their minimum quality requirements."""
+class _Priced:
+    """A finite price and a nonempty tuple of finite qualities.  Each
+    subclass is its own dataclass, so its instances equal only its own."""
 
     price: float
     qualities: tuple[float, ...]
@@ -80,19 +81,13 @@ class Customer:
 
 
 @dataclass(frozen=True)
-class Product:
+class Customer(_Priced):
+    """A buyer: the most they will pay and their minimum quality requirements."""
+
+
+@dataclass(frozen=True)
+class Product(_Priced):
     """A sellable design: its price and the quality delivered per axis."""
-
-    price: float
-    qualities: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "price", _finite_float(self.price, "price"))
-        object.__setattr__(self, "qualities", _quality_tuple(self.qualities))
-
-    @property
-    def dim(self) -> int:
-        return len(self.qualities)
 
 
 def ppu(item: Customer | Product) -> float:
@@ -112,10 +107,6 @@ class ProfitReport:
     ppu: float
     buyers: int
     profit: float
-
-    @property
-    def profitable(self) -> bool:
-        return self.product is not None
 
 
 #: Shared report for markets where every sellable product loses money.
@@ -152,11 +143,11 @@ class Market:
 
     __slots__ = ("_prices", "_qualities")
 
-    def __init__(self, customers: Iterable[Customer], *, validate: bool = True):
+    def __init__(self, customers: Iterable[Customer]):
         prices, qualities = _customer_arrays(
             customers, "a market needs at least one customer"
         )
-        self._init_arrays(prices, qualities, validate)
+        self._init_arrays(prices, qualities, validate=True)
 
     @classmethod
     def from_arrays(
@@ -166,7 +157,11 @@ class Market:
         *,
         validate: bool = True,
     ) -> "Market":
-        """Build a market directly from column arrays (copied)."""
+        """Build a market directly from column arrays (copied).
+
+        ``validate=False`` skips the Pareto check, for arrays that are
+        consistent by construction; it is the one unvalidated constructor.
+        """
         m = cls.__new__(cls)
         p = np.array(prices, dtype=float).reshape(-1)
         q = np.array(qualities, dtype=float)
@@ -210,10 +205,6 @@ class Market:
     @property
     def qualities(self) -> np.ndarray:
         return self._qualities
-
-    @property
-    def customers(self) -> tuple[Customer, ...]:
-        return tuple(self)
 
     def customer(self, i: int) -> Customer:
         return Customer(float(self._prices[i]), tuple(map(float, self._qualities[i])))
@@ -578,22 +569,14 @@ def _check_finite_number(value: object, where: str) -> float:
     raise MarketFormatError(f"{where}: integer too large for a float ({digits} digits)")
 
 
-def _customers_of_arrays(prices: np.ndarray, qualities: np.ndarray) -> list[Customer]:
-    return [Customer(p, tuple(q)) for p, q in zip(prices.tolist(), qualities.tolist())]
-
-
 def parse_customers_json(text: str) -> list[Customer]:
     """Parse the JSON market format.
 
     Expected shape: ``{"dim": d, "customers": [{"price": x, "qualities":
     [..]}, ...]}``.  NaN and infinities are rejected.
     """
-    return _customers_of_arrays(*_json_arrays(text))
-
-
-def parse_customers_csv(text: str) -> list[Customer]:
-    """Parse the CSV market format: header ``price,q1,...,qd`` plus rows."""
-    return _customers_of_arrays(*_csv_arrays(text))
+    prices, qualities = _json_arrays(text)
+    return [Customer(p, tuple(q)) for p, q in zip(prices.tolist(), qualities.tolist())]
 
 
 _NUMBER_TYPES = {int, float}

@@ -153,6 +153,12 @@ class SimplexArray(Sequence[SimplexHomothet]):
         return SimplexArray(self.corners[key], self.sizes[key])
 
 
+def _rounding_pad(scale: float, d: int) -> float:
+    """Bound on the rounding of a sum of ``d + 2`` terms no larger in
+    magnitude than ``scale`` (a few spacings per term)."""
+    return 4 * (d + 2) * float(np.spacing(scale))
+
+
 def _as_arrays(simplices: Sequence[SimplexHomothet]) -> tuple[np.ndarray, np.ndarray]:
     if not len(simplices):
         raise ValueError("need at least one simplex")
@@ -213,7 +219,7 @@ def arrangement_stats(simplices: Sequence[SimplexHomothet]) -> ArrangementStats:
     # by a few spacings of the largest partial sum, so padding the extent
     # by more than that keeps every pair the predicate can accept.
     scale = np.abs(corners).max(axis=0).sum() + sizes.max()
-    pad = 4 * (d + 2) * float(np.spacing(scale))
+    pad = _rounding_pad(scale, d)
     x = cols[0]
     cnt = np.searchsorted(x, x + size + pad, side="right") - np.arange(1, x.size + 1)
     first = np.cumsum(cnt) - cnt  # number of the row's first pair
@@ -498,21 +504,20 @@ def random_homothets(
     seed: int = 0,
     *,
     corner_range: tuple[float, float] = (0.0, 8.0),
-    size_range: tuple[float, float] = (0.5, 3.0),
 ) -> SimplexArray:
-    """Deterministic random homothets with a healthy amount of overlap."""
+    """Deterministic random homothets with a healthy amount of overlap:
+    corners uniform in ``corner_range`` per axis, sizes uniform in
+    ``[0.5, 3)``."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     rng = np.random.default_rng(seed)
     corners = rng.uniform(corner_range[0], corner_range[1], size=(n, d))
-    sizes = rng.uniform(size_range[0], size_range[1], size=n)
+    sizes = rng.uniform(0.5, 3.0, size=n)
     return SimplexArray(corners, sizes)
 
 
-def depth_controlled_family(
-    n: int, k: int, *, seed: int = 0, size: float = 4.0
-) -> SimplexArray:
-    """Plane family of ``n`` equal-size triangles with max depth exactly ``k``.
+def depth_controlled_family(n: int, k: int, *, seed: int = 0) -> SimplexArray:
+    """Plane family of ``n`` triangles of size 4 with max depth exactly ``k``.
 
     Builds well-separated groups of ``k`` translates whose corners are
     jittered along an anti-diagonal short enough that each group shares a
@@ -523,6 +528,7 @@ def depth_controlled_family(
     if n < k or k < 1:
         raise ValueError("need n >= k >= 1")
     rng = np.random.default_rng(seed)
+    size = 4.0
     shifts = []
     for first in range(0, n, k):  # one group of k (the last may be short)
         t = rng.uniform(0.0, size / 2.0, size=min(k, n - first))

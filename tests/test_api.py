@@ -3,8 +3,8 @@ import inspect
 import types
 
 import productdesign as pd
-from productdesign import market, simplices, sweep
-from productdesign.cli import RunConfig, build_parser
+from productdesign import approx, market, simplices, sweep
+from productdesign.cli import build_parser, run
 
 
 def test_every_exported_name_resolves():
@@ -93,12 +93,40 @@ def test_market_defines_only_its_public_api():
         "evaluate",
         "market_to_csv",
         "market_to_json",
-        "parse_customers_csv",
         "parse_customers_json",
         "ppu",
         "prune_dominated",
         "random_pareto_market",
     }
+
+
+def test_approx_defines_only_the_ladder_search():
+    # a public function or class added to the module fails here
+    defined = {
+        name
+        for name, obj in vars(approx).items()
+        if not name.startswith("_")
+        and getattr(obj, "__module__", None) == approx.__name__
+    }
+    assert defined == {
+        "LadderStats",
+        "LevelOutcome",
+        "level_schedule",
+        "lift_point",
+        "max_ppu",
+        "project_customers",
+        "solve_approx",
+        "solve_approx_detailed",
+    }
+
+
+def test_constructors_and_generators_take_no_unused_options():
+    for fn, params in (
+        (pd.Market.__init__, ["self", "customers"]),
+        (pd.random_homothets, ["n", "d", "seed", "corner_range"]),
+        (pd.depth_controlled_family, ["n", "k", "seed"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
 
 
 def test_solve_approx_takes_market_and_epsilon_only():
@@ -136,10 +164,10 @@ def test_solve_command_options():
         ["--prune"],
         ["--output"],
     ]
-    assert list(RunConfig.__dataclass_fields__) == [
+    # every option but --output (where the report goes) reaches the report
+    assert list(inspect.signature(run).parameters) == [
         "input",
         "algorithm",
         "epsilon",
         "prune",
-        "output",
     ]

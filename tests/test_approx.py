@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import productdesign as pd
 from conftest import market_of
+from productdesign import simplices
 
 
 class TestMaxPpu:
@@ -20,31 +22,37 @@ class TestMaxPpu:
 
 class TestLevelSchedule:
     def test_halving_example(self):
-        sched = pd.level_schedule(8.0, 0.5, 4)
-        assert sched.levels == (8.0, 4.0, 2.0)
+        assert pd.level_schedule(8.0, 0.5, 4) == (8.0, 4.0, 2.0)
 
     def test_single_customer(self):
-        assert pd.level_schedule(5.0, 0.5, 1).levels == (5.0,)
+        assert pd.level_schedule(5.0, 0.5, 1) == (5.0,)
 
     def test_strictly_decreasing_and_positive(self):
         for eps in (0.1, 0.25, 0.5, 0.9):
             for n in (1, 2, 7, 100, 1000):
-                levels = pd.level_schedule(3.0, eps, n).levels
+                levels = pd.level_schedule(3.0, eps, n)
                 assert all(c > 0 for c in levels)
                 assert all(a > b for a, b in zip(levels, levels[1:]))
 
     def test_floor_reaches_r_over_n(self):
         for eps in (0.1, 0.3, 0.5):
             for n in (2, 10, 64, 1000):
-                levels = pd.level_schedule(1.0, eps, n).levels
+                levels = pd.level_schedule(1.0, eps, n)
                 assert levels[-1] <= 1.0 / n
 
     def test_length_grows_as_epsilon_shrinks(self):
         lengths = [
-            len(pd.level_schedule(1.0, eps, 500).levels)
+            len(pd.level_schedule(1.0, eps, 500))
             for eps in (0.5, 0.25, 0.1, 0.05)
         ]
         assert lengths == sorted(lengths)
+
+    def test_guard_counts_levels_times_customers(self, monkeypatch):
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 12)
+        assert len(pd.level_schedule(8.0, 0.5, 4)) == 3
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 11)
+        with pytest.raises(pd.GuardExceededError, match="3 levels over 4 customers"):
+            pd.level_schedule(8.0, 0.5, 4)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -147,6 +155,24 @@ class TestSolveApprox:
         with pytest.raises(TypeError):
             pd.solve_approx_detailed(m, 0.5, "exact")
 
+    def test_epsilon_whose_ladder_share_rounds_to_zero_is_named(self):
+        # 1 - sqrt(1 - 1e-17) is 0.0 in floating point
+        for m in (market_of((3, [1])), market_of((1, [2]))):
+            with pytest.raises(ValueError, match="epsilon 1e-17 is too small"):
+                pd.solve_approx(m, 1e-17)
+
+    def test_fine_ladder_is_refused_before_it_is_built(self):
+        # at eps = 1e-9 the ladder would hold about 1.4e10 margins
+        m = pd.random_pareto_market(1000, 2, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(pd.GuardExceededError, match="1000 customers"):
+                pd.solve_approx_detailed(m, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the margins alone are 8000 bytes
+
     def test_profit_is_reevaluation_of_product(self):
         for seed in range(8):
             m = pd.random_pareto_market(30, 2, seed=seed)
@@ -183,9 +209,9 @@ class TestSolveApprox:
                 )
                 opt = pd.brute_force_optimum(m).profit
                 eps_level = 0.25
-                sched = pd.level_schedule(pd.max_ppu(m), eps_level, len(m))
+                levels = pd.level_schedule(pd.max_ppu(m), eps_level, len(m))
                 best = 0.0
-                for c in sched.levels:
+                for c in levels:
                     projected = pd.project_customers(m, c)
                     if projected:
                         depth = pd.deepest_point_exact(

@@ -10,7 +10,7 @@ import pytest
 
 import productdesign as pd
 from productdesign import market as market_mod, simplices
-from productdesign.cli import RunConfig, load_market, main, run
+from productdesign.cli import load_market, main, run
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ class TestLoadMarket:
         path = tmp_path / "m.csv"
         path.write_text("price,q1\n2,1\n")
         market, pruned = load_market(str(path))
-        assert market.customers == (pd.Customer(2, (1,)),) and pruned == 0
+        assert tuple(market) == (pd.Customer(2, (1,)),) and pruned == 0
 
     def test_json_by_extension(self, tmp_path):
         path = tmp_path / "m.json"
@@ -51,7 +51,7 @@ class TestLoadMarket:
         path = tmp_path / "m.csv"
         path.write_text("price,q1\n2,5\n3,1\n")
         market, pruned = load_market(str(path), prune=True)
-        assert pruned == 1 and market.customers == (pd.Customer(2, (5,)),)
+        assert pruned == 1 and tuple(market) == (pd.Customer(2, (5,)),)
         assert "pruned 1" in capsys.readouterr().err
 
     def test_missing_file(self):
@@ -71,7 +71,7 @@ class TestLoadMarket:
 
 class TestRun:
     def test_exact1d_report(self, two_customer_csv):
-        report = run(RunConfig(input=two_customer_csv, algorithm="exact1d"))
+        report = run(two_customer_csv, "exact1d")
         assert report["result"]["profit"] == 2.0
         assert report["result"]["status"] == "ok"
         assert report["market"] == {
@@ -96,16 +96,13 @@ class TestRun:
         market = pd.random_pareto_market(30, 2, seed=11, value_range=(0, 12))
         path = tmp_path / "m.csv"
         path.write_text(pd.market_to_csv(market))
-        brute = run(RunConfig(input=str(path), algorithm="bruteforce"))
-        approx = run(
-            RunConfig(input=str(path), algorithm="approx", epsilon=0.25)
-        )
+        brute = run(str(path), "bruteforce")
+        approx = run(str(path), "approx", epsilon=0.25)
         assert approx["result"]["profit"] >= 0.75 * brute["result"]["profit"]
         assert approx["diagnostics"]["levels"]
 
     def test_reports_are_deterministic_minus_timing(self, two_customer_csv):
-        config = RunConfig(input=two_customer_csv, algorithm="exact1d")
-        a, b = run(config), run(config)
+        a, b = run(two_customer_csv, "exact1d"), run(two_customer_csv, "exact1d")
         a.pop("timing_ms"), b.pop("timing_ms")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
@@ -113,8 +110,7 @@ class TestRun:
         market = pd.random_pareto_market(25, 2, seed=2, value_range=(0, 10))
         path = tmp_path / "m.csv"
         path.write_text(pd.market_to_csv(market))
-        config = RunConfig(input=str(path), algorithm="approx", epsilon=0.25)
-        a, b = run(config), run(config)
+        a, b = (run(str(path), "approx", epsilon=0.25) for _ in range(2))
         a.pop("timing_ms"), b.pop("timing_ms")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["config"] == {
@@ -129,7 +125,7 @@ class TestRun:
         market = pd.random_pareto_market(60, 2, seed=4, value_range=(0, 30))
         path = tmp_path / "m.csv"
         path.write_text(pd.market_to_csv(market))
-        report = run(RunConfig(input=str(path), algorithm="approx", epsilon=0.25))
+        report = run(str(path), "approx", epsilon=0.25)
         _, levels, ladder = pd.solve_approx_detailed(market, 0.25)
         diagnostics = report["diagnostics"]
         assert len(diagnostics["levels"]) == len(levels)
@@ -138,16 +134,16 @@ class TestRun:
 
     def test_epsilon_required_for_approx(self, two_customer_csv):
         with pytest.raises(ValueError, match="epsilon"):
-            run(RunConfig(input=two_customer_csv, algorithm="approx"))
+            run(two_customer_csv, "approx")
 
     def test_epsilon_rejected_elsewhere(self, two_customer_csv):
         with pytest.raises(ValueError, match="only applies"):
-            run(RunConfig(input=two_customer_csv, algorithm="exact1d", epsilon=0.5))
+            run(two_customer_csv, "exact1d", epsilon=0.5)
 
     def test_no_profit_status(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("price,q1\n1,2\n")
-        report = run(RunConfig(input=str(path), algorithm="bruteforce"))
+        report = run(str(path), "bruteforce")
         assert report["result"] == {
             "status": "no_profitable_product",
             "profit": 0.0,
@@ -280,23 +276,26 @@ class TestMainExitCodes:
         # projection counts it, fits every level of the solve; one less
         # trips the guard
         market = pd.random_pareto_market(300, 2, seed=4, value_range=(0, 40))
-        lowest = pd.level_schedule(
-            pd.max_ppu(market), 1.0 - math.sqrt(0.75), len(market)
-        ).levels[-1]
-        sims = [s for s, _ in pd.project_customers(market, lowest)]
+        ladder = pd.level_schedule(
+            pd.max_ppu(market), 1.0 - math.sqrt(0.1), len(market)
+        )
+        sims = [s for s, _ in pd.project_customers(market, ladder[-1])]
         slicer = simplices._GridSlicer(
             simplices._CornerGrid(np.array([s.corner for s in sims])),
             np.array([s.size for s in sims]),
         )
         slicer.solve()
+        # the ladder's own guard charge (levels times customers) is below
+        # that work, so the depth guard is the one at its edge here
+        assert len(ladder) * len(market) < slicer.work
         monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", slicer.work)
-        _, levels, _ = pd.solve_approx_detailed(market, 0.25)
+        _, levels, _ = pd.solve_approx_detailed(market, 0.9)
         assert len(levels) > 1
         monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", slicer.work - 1)
         path = tmp_path / "m.csv"
         path.write_text(pd.market_to_csv(market))
         argv = ["solve", "--input", str(path), "--algorithm", "approx"]
-        assert main(argv + ["--epsilon", "0.25"]) == 3
+        assert main(argv + ["--epsilon", "0.9"]) == 3
         assert "guard" in capsys.readouterr().err
 
     def test_exact1d_requires_dim1(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 
 import productdesign as pd
 from conftest import float_market
-from productdesign.cli import RunConfig, run
+from productdesign.cli import run
 
 
 def test_exact_1d_equals_oracle():
@@ -35,5 +35,5 @@ def test_cli_reverifies_every_bruteforce_result(tmp_path):
         d = 1 + case % 3
         market = float_market(rng, int(rng.integers(1, 30)), d, ties=case % 4 == 0)
         path.write_text(pd.market_to_csv(market))
-        report = run(RunConfig(input=str(path), algorithm="bruteforce"))
+        report = run(str(path), "bruteforce")
         assert report["result"]["profit"] == pd.brute_force_optimum(market).profit

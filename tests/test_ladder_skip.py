@@ -21,7 +21,7 @@ def search_every_level(market, epsilon):
     if r <= 0:
         return pd.NO_PROFITABLE_PRODUCT, []
     part = 1.0 - math.sqrt(1.0 - epsilon)
-    levels = pd.level_schedule(r, part, len(market)).levels
+    levels = pd.level_schedule(r, part, len(market))
     top = int(np.argmax(market.prices - market.qualities.sum(axis=1)))
     best = pd.evaluate(market, pd.lift_point(market.qualities[top], r))
     outcomes = []
@@ -88,7 +88,7 @@ def test_skip_keeps_report_and_searched_outcomes():
             if pd.max_ppu(market) > 0:
                 part = 1.0 - math.sqrt(1.0 - eps)
                 ladder_length = len(
-                    pd.level_schedule(pd.max_ppu(market), part, len(market)).levels
+                    pd.level_schedule(pd.max_ppu(market), part, len(market))
                 )
                 assert len(outcomes) + ladder.levels_skipped == ladder_length
                 assert outcomes[-1].index == ladder_length - 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -35,6 +36,14 @@ class TestDomainTypes:
             pd.Product(float("-inf"), (0.0,))
         assert pd.Product(2, (1,)).qualities == (1.0,)
 
+    def test_customer_and_product_keep_their_own_identity(self):
+        c, p = pd.Customer(2, (1,)), pd.Product(2, (1,))
+        assert repr(c) == "Customer(price=2.0, qualities=(1.0,))"
+        assert repr(p) == "Product(price=2.0, qualities=(1.0,))"
+        assert c != p and len({c, p}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.price = 3.0
+
     def test_market_requires_uniform_dimension(self):
         with pytest.raises(pd.DimensionMismatchError):
             pd.Market([pd.Customer(1, (0.0,)), pd.Customer(1, (0.0, 0.0))])
@@ -45,7 +54,7 @@ class TestDomainTypes:
 
     def test_market_preserves_order_and_roundtrips_customers(self):
         m = market_of((3, [1]), (2, [0]))
-        assert m.customers == (pd.Customer(3, (1,)), pd.Customer(2, (0,)))
+        assert tuple(m) == (pd.Customer(3, (1,)), pd.Customer(2, (0,)))
         assert len(m) == 2 and m.dim == 1
 
     def test_market_arrays_read_only(self):
@@ -279,11 +288,11 @@ class TestPrune:
 
     def test_drops_dominated_customer(self):
         m = pd.prune_dominated(customers_of((2, [5]), (3, [1])))
-        assert m.customers == (pd.Customer(2, (5,)),)
+        assert tuple(m) == (pd.Customer(2, (5,)),)
 
     def test_singleton(self):
         m = pd.prune_dominated(customers_of((1, [0])))
-        assert m.customers == (pd.Customer(1, (0,)),)
+        assert tuple(m) == (pd.Customer(1, (0,)),)
 
     def test_mixed_dimensions_rejected(self):
         cs = [pd.Customer(3, (1,)), pd.Customer(5, (1, 2))]
@@ -354,14 +363,14 @@ class TestBruteForceOptimum:
             got = pd.brute_force_optimum(m)
             want = _naive_grid_optimum(m)
             assert got.profit == want.profit
-            if got.profitable:
+            if got.product is not None:
                 assert got.buyers == pd.evaluate(m, got.product).buyers
 
     def test_no_profit_marker(self):
         m = market_of((5, [5]), (3, [3]))  # both margins are zero
         rep = pd.brute_force_optimum(m)
         assert rep == pd.NO_PROFITABLE_PRODUCT
-        assert not rep.profitable
+        assert rep.product is None
 
     def test_size_guard(self, monkeypatch):
         m = pd.random_pareto_market(40, 2, seed=0)
@@ -420,14 +429,14 @@ class TestGenerators:
 
     def test_element_uniqueness_construction(self):
         m = pd.element_uniqueness_instance([5, 5, 7])
-        assert m.customers == (
+        assert tuple(m) == (
             pd.Customer(5.5, (5,)),
             pd.Customer(5.5, (5,)),
             pd.Customer(7.5, (7,)),
         )
 
     def test_element_uniqueness_singleton(self):
-        assert pd.element_uniqueness_instance([0]).customers == (
+        assert tuple(pd.element_uniqueness_instance([0])) == (
             pd.Customer(0.5, (0,)),
         )
 
@@ -481,7 +490,7 @@ class TestProfitProperties:
 class TestFileFormats:
     def test_csv_roundtrip(self):
         m = pd.random_pareto_market(20, 2, seed=3)
-        again = pd.Market(pd.parse_customers_csv(pd.market_to_csv(m)))
+        again = pd.Market.from_arrays(*market_mod._csv_arrays(pd.market_to_csv(m)))
         assert again == m
 
     def test_json_roundtrip(self):
@@ -490,21 +499,24 @@ class TestFileFormats:
         assert again == m
 
     def test_csv_single_row(self):
-        assert pd.parse_customers_csv("price,q1\n2,1\n") == [pd.Customer(2, (1,))]
+        prices, qualities = market_mod._csv_arrays("price,q1\n2,1\n")
+        assert tuple(pd.Market.from_arrays(prices, qualities)) == (
+            pd.Customer(2, (1,)),
+        )
 
     def test_csv_rejects_bad_header(self):
         with pytest.raises(pd.MarketFormatError, match="header"):
-            pd.parse_customers_csv("cost,q1\n2,1\n")
+            market_mod._csv_arrays("cost,q1\n2,1\n")
 
     def test_csv_rejects_non_numeric_with_line(self):
         with pytest.raises(pd.MarketFormatError, match="line 3"):
-            pd.parse_customers_csv("price,q1\n2,1\nx,1\n")
+            market_mod._csv_arrays("price,q1\n2,1\nx,1\n")
 
     def test_csv_rejects_nonfinite(self):
         with pytest.raises(pd.MarketFormatError, match="non-finite"):
-            pd.parse_customers_csv("price,q1\nnan,1\n")
+            market_mod._csv_arrays("price,q1\nnan,1\n")
         with pytest.raises(pd.MarketFormatError, match="non-finite"):
-            pd.parse_customers_csv("price,q1\n2,inf\n")
+            market_mod._csv_arrays("price,q1\n2,inf\n")
 
     def test_json_rejects_nonfinite(self):
         with pytest.raises(pd.MarketFormatError):
@@ -527,5 +539,6 @@ class TestFileFormats:
 
     def test_float_values_roundtrip_exactly(self):
         m = pd.Market([pd.Customer(0.1 + 0.2, (1 / 3,))])
-        assert pd.Market(pd.parse_customers_csv(pd.market_to_csv(m))) == m
+        csv_arrays = market_mod._csv_arrays(pd.market_to_csv(m))
+        assert pd.Market.from_arrays(*csv_arrays) == m
         assert pd.Market(pd.parse_customers_json(pd.market_to_json(m))) == m

@@ -9,6 +9,7 @@ import pytest
 
 import productdesign as pd
 from conftest import float_market
+from productdesign import market as market_mod
 from productdesign.cli import load_market
 
 OK = '{"price": 9, "qualities": [1, 2]}'
@@ -135,7 +136,7 @@ def test_malformed_input_keeps_its_message(tmp_path, fmt, text, message):
         with pytest.raises(pd.MarketFormatError) as info:
             load_market(path, prune)
         assert str(info.value) == message
-    parse = pd.parse_customers_json if fmt == "json" else pd.parse_customers_csv
+    parse = pd.parse_customers_json if fmt == "json" else market_mod._csv_arrays
     with pytest.raises(pd.MarketFormatError) as info:
         parse(text)
     assert str(info.value) == message
@@ -148,7 +149,8 @@ def test_header_only_csv_is_an_empty_market(tmp_path, text):
         load_market(path)
     with pytest.raises(pd.EmptyMarketError, match="^cannot prune an empty"):
         load_market(path, prune=True)
-    assert pd.parse_customers_csv(text) == []
+    prices, qualities = market_mod._csv_arrays(text)
+    assert prices.shape == (0,) and qualities.shape == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -176,10 +178,14 @@ def test_valid_input_loads_value_for_value(tmp_path, fmt, text, prices, qualitie
     # tobytes also tells -0.0 from 0.0
     assert market.prices.tobytes() == want_p.tobytes()
     assert market.qualities.tobytes() == want_q.tobytes()
-    parse = pd.parse_customers_json if fmt == "json" else pd.parse_customers_csv
-    assert parse(text) == [
-        pd.Customer(p, tuple(q)) for p, q in zip(prices, qualities)
-    ]
+    if fmt == "json":
+        assert pd.parse_customers_json(text) == [
+            pd.Customer(p, tuple(q)) for p, q in zip(prices, qualities)
+        ]
+    else:
+        got_p, got_q = market_mod._csv_arrays(text)
+        assert got_p.tobytes() == want_p.tobytes()
+        assert got_q.tobytes() == want_q.tobytes()
 
 
 def _json_per_customer(market: pd.Market) -> str:
