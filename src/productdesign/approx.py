@@ -134,15 +134,14 @@ def level_schedule(r: float, epsilon: float, n: int) -> tuple[float, ...]:
     """
     if r <= 0:
         raise ValueError(f"level schedule needs a positive top margin, got {r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    shrink = 1.0 - epsilon
+    if not 0.0 < epsilon < 1.0 or shrink == 1.0:
+        raise ValueError(f"epsilon must be in (0, 1) and 1 - eps < 1, got {epsilon}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    shrink = 1.0 - epsilon
-    if n == 1:
-        count = 0
-    else:
-        count = max(0, math.ceil(math.log(n) / math.log(1.0 / shrink) - 1e-12))
+    # not log(1 / shrink), which rounds enough for epsilon below ~1e-11 to
+    # leave the closing loop up to ~1e15 single steps before the guard
+    count = max(0, math.ceil(math.log(n) / -math.log(shrink) - 1e-12))
     while shrink**count > 1.0 / n:
         count += 1
     if (count + 1) * n > simplices.EXACT_DEPTH_GUARD:

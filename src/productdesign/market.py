@@ -388,8 +388,6 @@ def _prune_arrays(prices: np.ndarray, qualities: np.ndarray) -> Market:
     if prices.size == 0:
         raise EmptyMarketError(_PRUNE_EMPTY)
     keep = ~_dominated_mask(prices, qualities)
-    if not keep.any():
-        raise EmptyMarketError("pruning removed every customer")
     return Market.from_arrays(prices[keep], qualities[keep], validate=False)
 
 

@@ -17,6 +17,12 @@ subset, so does the componentwise max of that subset's corners, hence
 some deepest point has every coordinate drawn from the per-axis corner
 values.
 
+Every query uses the float containment rule of :func:`contains`:
+``x_k >= a_k`` on every axis and ``((0.0 + x_0) + x_1) + ... <= sum_cap``,
+the corner summed in the same axis order plus ``s``.  Rounding is monotone
+in each term, so every homothet contains its own corner, and a deepest
+point's depth is the number of homothets :func:`contains` accepts there.
+
 The exact deepest point slices that corner grid one axis at a time.  A
 homothet meets the grid lines through a fixed prefix ``x_0 .. x_{k-1}`` in
 a contiguous run of axis-``k`` values (its slice is again a corner
@@ -39,6 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -85,32 +93,30 @@ class SimplexHomothet:
 
     @property
     def sum_cap(self) -> float:
-        """Upper bound on coordinate sums inside the region."""
-        return sum(self.corner) + self.size
+        """Upper bound on coordinate sums inside the region: the corner
+        summed in axis order (``sum`` compensates floats from Python 3.12)."""
+        return reduce(add, self.corner, 0.0) + self.size
 
 
 def contains(simplex: SimplexHomothet, point: Sequence[float]) -> bool:
-    """Closed membership test: all lower bounds plus the sum bound."""
+    """Closed membership: lower bounds, then the axis-order sum bound."""
     if len(point) != simplex.dim:
         raise DimensionMismatchError(
             f"point has {len(point)} coordinates, simplex has {simplex.dim}"
         )
-    total = 0.0
-    for x, a in zip(point, simplex.corner):
-        if x < a:
-            return False
-        total += x - a
-    return total <= simplex.size
+    return all(x >= a for x, a in zip(point, simplex.corner)) and (
+        reduce(add, point, 0.0) <= simplex.sum_cap
+    )
 
 
 def intersects(s1: SimplexHomothet, s2: SimplexHomothet) -> bool:
-    """Whether the two closed regions share at least one point."""
+    """Whether the closed regions share a point: both hold the max corner."""
     if s1.dim != s2.dim:
         raise DimensionMismatchError(
             f"simplices have dimensions {s1.dim} and {s2.dim}"
         )
-    meet = sum(max(a, b) for a, b in zip(s1.corner, s2.corner))
-    return meet <= min(s1.sum_cap, s2.sum_cap)
+    meet = [max(a, b) for a, b in zip(s1.corner, s2.corner)]
+    return contains(s1, meet) and contains(s2, meet)
 
 
 class SimplexArray(Sequence[SimplexHomothet]):
@@ -215,9 +221,9 @@ def arrangement_stats(simplices: Sequence[SimplexHomothet]) -> ArrangementStats:
     # A pair meets only if the later corner's x is within the earlier
     # one's x-extent: the meet corner's sum is at least that x plus the
     # earlier corner's other coordinates, and the cap is at most its own
-    # x + s plus the same.  Rounding moves each side of the float predicate
-    # by a few spacings of the largest partial sum, so padding the extent
-    # by more than that keeps every pair the predicate can accept.
+    # x + s plus the same.  Rounding moves each side of the containment
+    # rule's sum test by a few spacings of the largest partial sum, so
+    # padding the extent by more than that keeps every pair it can accept.
     scale = np.abs(corners).max(axis=0).sum() + sizes.max()
     pad = _rounding_pad(scale, d)
     x = cols[0]
@@ -235,7 +241,7 @@ def arrangement_stats(simplices: Sequence[SimplexHomothet]) -> ArrangementStats:
         t = np.arange(lo, min(lo + _PAIR_BUDGET, total))
         i = np.searchsorted(first, t, side="right") - 1
         j = i + 1 + t - first[i]
-        meet = sum(np.maximum(col[i], col[j]) for col in cols)  # as intersects
+        meet = sum(np.maximum(col[i], col[j]) for col in cols)  # in axis order
         hit = meet <= np.minimum(cap[i], cap[j])
         i, j = i[hit], j[hit]
         pairwise += i.size
@@ -274,7 +280,7 @@ def _edge_crossings(cols, size, cap, i, j) -> int:
 
 @dataclass(frozen=True)
 class DepthResult:
-    """A point and the number of input simplices containing it."""
+    """A point and the number of input simplices :func:`contains` accepts."""
 
     point: tuple[float, ...]
     depth: int
@@ -289,14 +295,14 @@ class _CornerGrid:
     keeps the values whose first corner is among them (a mask), and a
     corner's position on it is the number of kept values up to its own
     (a ``cumsum``), so no prefix is sorted or searched again.  The corner
-    sums ``csum`` and the sums after each axis ``rest[k]`` are per-corner
-    row sums, the same for a prefix as for the whole set.
+    sums ``csum`` (in axis order) and the sums after each axis ``rest[k]``
+    are per-corner, the same for a prefix as for the whole set.
     """
 
     def __init__(self, corners: np.ndarray):
         self.n, self.d = corners.shape
         self.cols = [np.ascontiguousarray(corners[:, k]) for k in range(self.d)]
-        self.csum = corners.sum(axis=1)
+        self.csum = sum(self.cols)  # as SimplexHomothet.sum_cap
         self.rest = [corners[:, k + 1 :].sum(axis=1) for k in range(self.d)]
         self.values, self.first, self.inverse = zip(
             *(
@@ -325,13 +331,13 @@ class _GridSlicer:
     with the ``m`` given sizes, sliced on their own grid: grid points are
     indexed by their per-axis positions in the sorted distinct values
     ``axes[k]`` (``m_k`` of them) of those ``m`` corners only.  A homothet
-    contains grid point ``x`` under the grid's own float predicate: every
-    ``x_k >= a_k`` and ``((0.0 + x_0) + x_1) + ... <= sum(a) + s``, summed
-    in axis order.  That sum never decreases when a coordinate grows, so
-    the axis-``k`` values admitted for a fixed prefix form one run of
-    positions ``[lo, hi)``: ``lo`` is the corner's own position and ``hi``
-    is where the prefix, completed by the corner's remaining coordinates
-    (the smallest admitted completion), first exceeds the cap.
+    contains grid point ``x`` under the rule of :func:`contains`, whose sum
+    never decreases when a coordinate grows, so the axis-``k`` values
+    admitted for a fixed prefix form one run of positions ``[lo, hi)``:
+    ``lo`` is the corner's own position and ``hi`` is where the prefix,
+    completed by the corner's remaining coordinates (the smallest admitted
+    completion), first exceeds the cap.  No run is empty: the prefix was
+    admitted with that completion one axis earlier, the corner on axis 0.
 
     At stage ``k`` every (prefix row, homothet) pair is an interval of
     keys ``row * m_k + position``.  Row numbers grow with the prefixes in
@@ -364,8 +370,7 @@ class _GridSlicer:
         part = np.zeros(self.n)
         end = self._ends(0, sim, part)
         depth, key, tail = self._stage(0, sim, part, self.pos[0], end)
-        # depth 0 only if rounding keeps every homothet off the grid
-        at = (key,) + tail if depth else (0,) * self.d
+        at = (key,) + tail
         return DepthResult(tuple(float(ax[i]) for ax, i in zip(self.axes, at)), depth)
 
     def _charge(self, work: int):
@@ -406,7 +411,7 @@ class _GridSlicer:
                 lo = np.where(active & ok, mid + 1, lo)
                 up = np.where(active & ~ok, mid, up)
             hi[wrong] = lo
-        return np.maximum(hi, self.pos[k][sim])
+        return hi
 
     def _stage(self, k, sim, part, start, end):
         """Best (depth, key, later positions) over the intervals at stage k."""
@@ -435,8 +440,6 @@ class _GridSlicer:
     def _expand(self, k, sim, part, start, end):
         cnt = end - start
         total = int(cnt.sum())
-        if total == 0:
-            return 0, 0, ()
         first = np.cumsum(cnt) - cnt
         keys = np.repeat(start - first, cnt) + np.arange(total)
         sim = np.repeat(sim, cnt)
@@ -449,15 +452,14 @@ class _GridSlicer:
         start = row + self.pos[k + 1][sim]
         end = row + self._ends(k + 1, sim, part)
         depth, key, tail = self._stage(k + 1, sim, part, start, end)
-        if depth == 0:
-            return 0, 0, ()
         row_key = key // m if rows_of is None else int(rows_of[key // m])
         return depth, row_key, (key % m,) + tail
 
 
 def _key_windows(start: np.ndarray, end: np.ndarray, parts: int):
     """Consecutive key windows ``[lo, hi)`` that split the incidences of
-    the intervals ``[start, end)`` into about ``parts`` equal shares."""
+    the intervals ``[start, end)`` into about ``parts`` equal shares; a
+    cut in a gap between intervals lands on its end, so none is empty."""
     # C(K), the incidences at keys below K, is piecewise linear between
     # interval ends; interpolate the keys where it crosses each share.
     base = start.min()
@@ -479,8 +481,8 @@ def deepest_point_exact(simplices: Sequence[SimplexHomothet]) -> DepthResult:
 
     Some optimum lies on the grid of per-axis corner values (see the
     module notes); this returns the maximum depth over that grid and the
-    lexicographically smallest grid point attaining it, with the grid's
-    float membership predicate (see :class:`_GridSlicer`).  The work is the
+    lexicographically smallest grid point attaining it, under the rule of
+    :func:`contains` (see :class:`_GridSlicer`).  The work is the
     number of (grid-line prefix, homothet) pairs expanded plus two stab
     events per pair on the last axis, about ``n`` times the mean number of
     grid lines a homothet spans; it is counted before each expansion

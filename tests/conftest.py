@@ -52,6 +52,25 @@ def arrangement_oracle(sims) -> tuple[int, int]:
     return pairs, vertices
 
 
+def axis_sums(points) -> np.ndarray:
+    """Row sums ``((0.0 + x_0) + x_1) + ...``, added in axis order as the
+    geometry's float rule sums (``cumsum`` never pairs terms up)."""
+    return np.cumsum(points, axis=-1)[..., -1]
+
+
+def depths(sims, points) -> np.ndarray:
+    """Number of homothets containing each point, under the float rule of
+    ``contains``: ``x_k >= a_k`` and the axis-order sum of ``x`` at most the
+    corner's axis-order sum plus the size."""
+    corners = np.array([s.corner for s in sims], dtype=float)
+    caps = axis_sums(corners) + np.array([s.size for s in sims], dtype=float)
+    x = np.asarray(points, dtype=float).reshape(-1, corners.shape[1])
+    inside = (x[:, None, :] >= corners[None, :, :]).all(axis=2) & (
+        axis_sums(x)[:, None] <= caps[None, :]
+    )
+    return inside.sum(axis=1)
+
+
 def vertex_oracle_depth(sims) -> int:
     """Independent deepest-point oracle for plane homothets.
 
@@ -62,22 +81,12 @@ def vertex_oracle_depth(sims) -> int:
     pts = [s.corner for s in sims]
     for a, b in itertools.permutations(sims, 2):
         pts.extend(edge_crossings(a, b))
-    corners = np.array([s.corner for s in sims])
-    sizes = np.array([s.size for s in sims])
-    arr = np.array(pts)
-    inside = (arr[:, None, :] >= corners[None, :, :]).all(axis=2) & (
-        (arr[:, None, :] - corners[None, :, :]).sum(axis=2) <= sizes[None, :]
-    )
-    return int(inside.sum(axis=1).max())
+    return int(depths(sims, pts).max())
 
 
 def depth_at(sims, point) -> int:
     """Number of homothets containing ``point``, by a full rescan."""
-    corners = np.array([s.corner for s in sims], dtype=float)
-    sizes = np.array([s.size for s in sims], dtype=float)
-    x = np.asarray(point, dtype=float)
-    inside = (x >= corners).all(axis=1) & ((x - corners).sum(axis=1) <= sizes)
-    return int(np.count_nonzero(inside))
+    return int(depths(sims, [point])[0])
 
 
 def grid_scan_deepest(sims) -> tuple[tuple[float, ...], int]:

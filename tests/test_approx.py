@@ -54,6 +54,18 @@ class TestLevelSchedule:
         with pytest.raises(pd.GuardExceededError, match="3 levels over 4 customers"):
             pd.level_schedule(8.0, 0.5, 4)
 
+    def test_epsilon_near_the_float_spacing_is_refused_at_once(self):
+        # 1 - eps is within a few spacings of 1: the ladder would hold
+        # about 1e15 levels, and the count must not be reached one by one
+        for eps in (2.0**-53, 2.3e-16, 1e-15, 1e-12):
+            with pytest.raises(pd.GuardExceededError, match="5 customers"):
+                pd.level_schedule(1.0, eps, 5)
+        with pytest.raises(pd.GuardExceededError):
+            pd.solve_approx(pd.random_pareto_market(5, 2, seed=1), 1e-15)
+        # no ladder shrinks when 1 - eps rounds to 1, even for one customer
+        with pytest.raises(ValueError, match="and 1 - eps < 1, got 1e-17"):
+            pd.level_schedule(1.0, 1e-17, 1)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             pd.level_schedule(0.0, 0.5, 4)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -382,6 +383,22 @@ class TestGen:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["result"]["profit"] == 0.5
 
+    def test_element_uniqueness_draws_values_from_the_seed(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["gen", "--kind", "element-uniqueness", "--n", "30", "--seed", "4"]
+        args += ["--low", "-5", "--high", "12"]
+        assert main(args + ["--output", str(a)]) == 0
+        assert main(args + ["--output", str(b)]) == 0
+        assert a.read_text() == b.read_text()
+        market, _ = load_market(str(a))
+        q = market.qualities[:, 0]
+        assert len(market) == 30 and ((-5 <= q) & (q <= 12)).all()
+        assert np.array_equal(market.prices, q + 0.5)
+        code = main(["solve", "--input", str(a), "--algorithm", "exact1d"])
+        assert code == 0
+        # 30 values from 18 integers repeat one, which earns at least 1
+        assert json.loads(capsys.readouterr().out)["result"]["profit"] >= 1
+
     def test_random_gen_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["gen", "--kind", "random", "--n", "40", "--d", "2", "--seed", "9"]
@@ -456,3 +473,30 @@ class TestBench:
             assert r["levels_searched"] == len(levels)
             assert r["levels_skipped"] == ladder.levels_skipped
             assert r["profit"] == report.profit > 0
+
+
+class TestReadme:
+    def test_cli_block_runs(self, tmp_path):
+        # every `productdesign ...` line of the README's shell examples, in
+        # order and in one directory, as `python -m productdesign.cli`
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = readme.read_text().split("```sh\n")[1:]
+        lines = [
+            line
+            for block in blocks
+            for line in block.split("```")[0].splitlines()
+            if line.startswith("productdesign ")
+        ]
+        assert len(lines) >= 9
+        src = str(Path(pd.__file__).resolve().parents[1])
+        for line in lines:
+            done = subprocess.run(
+                [sys.executable, "-m", "productdesign.cli"]
+                + shlex.split(line, comments=True)[1:],
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert done.returncode == 0, f"{line}: {done.stderr}"

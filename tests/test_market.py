@@ -77,6 +77,13 @@ class TestDomainTypes:
         with pytest.raises(pd.DimensionMismatchError, match="shape"):
             pd.Market.from_arrays([1.0], 5.0)
 
+    def test_from_arrays_rejects_non_finite_values(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pd.Market.from_arrays([bad, 2.0], [[1.0], [0.0]])
+            with pytest.raises(ValueError, match="finite"):
+                pd.Market.from_arrays([3.0, 2.0], [[1.0], [bad]])
+
 
 class TestPpu:
     def test_single_quality(self):

@@ -281,6 +281,40 @@ class TestDeepestPointExact:
             res = pd.deepest_point_exact(sims)
             assert (res.point, res.depth) == grid_scan_deepest(sims)
 
+    def test_depth_is_the_contains_count(self, monkeypatch):
+        # one float rule: the reported depth is the number of homothets
+        # `contains` accepts at the reported point, and `intersects` holds
+        # exactly when the pair's deepest point lies in both; under every
+        # window and row-ranking setting, on sums that round
+        rng = np.random.default_rng(17)
+        values = [0.0, 1e-17, 3e-17, 1e-16, 0.1, 0.2, 0.3, 1.0, 1e16, 1e16 + 2]
+        sizes = [0.0, 1e-16, 0.1, 1.0, 2.0, 1e16]
+        for cells, budget in itertools.product((1 << 61, 0), (1, 3, 40, 1 << 17)):
+            monkeypatch.setattr(simplices, "_DIRECT_KEY_CELLS", cells)
+            monkeypatch.setattr(simplices, "_PAIR_BUDGET", budget)
+            for i in range(50):
+                d = 1 + i % 5
+                n = int(rng.integers(1, 12))
+                if i % 2:
+                    sims = pd.SimplexArray(
+                        rng.choice(values, (n, d)), rng.choice(sizes, n)
+                    )
+                else:  # two-decimal floats
+                    sims = family_homothets(rng, "step", n, d)
+                res = pd.deepest_point_exact(sims)
+                assert res.depth == sum(pd.contains(s, res.point) for s in sims)
+                for a, b in itertools.combinations(list(sims)[:5], 2):
+                    pair = pd.deepest_point_exact([a, b])
+                    assert pd.intersects(a, b) == (pair.depth == 2)
+
+    def test_every_homothet_contains_its_corner(self):
+        # numpy's pairwise row sum of these nine values rounds 4 below
+        # their axis-order sum; the corner still lies in its own homothet
+        corner = (2.0**53, 3, 3, -1, 2.0**53, -1, -1, -(2.0**53), 1)
+        s = S(corner, 0.0)
+        assert pd.contains(s, corner)
+        assert pd.deepest_point_exact([s]) == pd.DepthResult(s.corner, 1)
+
     def test_distinct_float_plane_beyond_the_grid_scan(self):
         # 4000 distinct values per axis: the grid scan would visit
         # 4000**2 cells 4000 times, far past the guard
