@@ -14,8 +14,11 @@ customer margin ``r`` scaled by powers of ``1 - eps`` down to roughly
 ``r / n`` — costs at most a ``1 - eps`` factor: an optimal product can be
 slid down to the nearest ladder margin without losing any buyer, and a
 product below the ladder floor earns at most what the best single
-customer already pays.  Each level's deepest point is found exactly, so
-the guarantee is deterministic.
+customer already pays, so the search starts from that customer's own
+offer.  Under the one cost rule its margin is exactly ``r`` and that
+customer buys it, so a market with a positive margin always gets a
+product.  Each level's deepest point is found exactly, so the guarantee
+is deterministic.
 
 The ladder is built with the tolerance ``1 - sqrt(1 - eps)``, half of the
 budget in the multiplicative sense, and exact depth spends none of the
@@ -73,6 +76,7 @@ from .market import (
     Market,
     Product,
     ProfitReport,
+    _axis_sum,
     evaluate,
 )
 from .simplices import (
@@ -113,7 +117,7 @@ class LadderStats:
 
 
 def _margins(market: Market) -> np.ndarray:
-    return market.prices - market.qualities.sum(axis=1)
+    return market.prices - _axis_sum(market.qualities.T)
 
 
 def max_ppu(market: Market) -> float:
@@ -170,7 +174,7 @@ def project_customers(market: Market, c: float) -> list[tuple[SimplexHomothet, i
 def lift_point(x: Iterable[float], c: float) -> Product:
     """Product on the margin-``c`` plane located at quality point ``x``."""
     qs = tuple(float(v) for v in x)
-    return Product(c + sum(qs), qs)
+    return Product(c + _axis_sum(qs), qs)
 
 
 def solve_approx(market: Market, epsilon: float) -> ProfitReport:
@@ -220,11 +224,11 @@ def solve_approx_detailed(
         return NO_PROFITABLE_PRODUCT, [], LadderStats(0, None)
     levels = level_schedule(r, part, len(market))
 
-    # Seed the running best with the top customer's own product, which the
-    # ladder floor argument needs; later winners must strictly beat it, so
-    # ties resolve toward the lowest level.
-    top = int(np.argmax(margins))
-    best = evaluate(market, lift_point(market.qualities[top], r))
+    # Seed the running best with the top customer's own offer (module
+    # notes); later winners must strictly beat it, so ties resolve toward
+    # the lowest level.
+    top = market.customer(int(np.argmax(margins)))
+    best = evaluate(market, Product(top.price, top.qualities))
 
     # The lowest level's customers by descending margin, ties in index
     # order: every level is a prefix of them, on one corner grid.
@@ -262,7 +266,4 @@ def solve_approx_detailed(
         if report.profit > best.profit:
             best = report
 
-    stats = LadderStats(skipped, cap)
-    if best.profit <= 0:
-        return NO_PROFITABLE_PRODUCT, outcomes, stats
-    return best, outcomes, stats
+    return best, outcomes, LadderStats(skipped, cap)

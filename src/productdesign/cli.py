@@ -120,11 +120,12 @@ def run(
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     # Never emit an unverified result.
+    top_margin = max_ppu(market)
     if report.product is not None:
         check = evaluate(market, report.product)
         if check.profit != report.profit or check.buyers != report.buyers:
             raise AssertionError("solver result failed re-evaluation")
-    elif max_ppu(market) > 0 and algorithm != "approx":
+    elif top_margin > 0:
         raise AssertionError("no-profit result despite a positive customer margin")
 
     return {
@@ -138,7 +139,7 @@ def run(
         "market": {
             "n": len(market),
             "dim": market.dim,
-            "max_ppu": max_ppu(market),
+            "max_ppu": top_margin,
             "pruned_customers": pruned,
         },
         "result": _result_section(report),

@@ -25,6 +25,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -90,9 +92,17 @@ class Product(_Priced):
     """A sellable design: its price and the quality delivered per axis."""
 
 
+def _axis_sum(terms):
+    """The one float cost rule of every cost, margin and cap: scalars,
+    columns or broadcast grids added ``((0.0 + t_0) + t_1) + ...``.  Not
+    ``sum``, which compensates floats from Python 3.12, nor numpy's
+    pairwise ``sum``, which differs from axis order from eight terms on."""
+    return reduce(add, terms, 0.0)
+
+
 def ppu(item: Customer | Product) -> float:
     """Profit per unit: price minus production cost (the sum of qualities)."""
-    return item.price - sum(item.qualities)
+    return item.price - _axis_sum(item.qualities)
 
 
 @dataclass(frozen=True)
@@ -451,11 +461,11 @@ def brute_force_optimum(market: Market) -> ProfitReport:
     for k in range(d):
         counts = counts.cumsum(axis=k + 1)
 
-    # Sum the qualities first, in ppu's order ((0 + q_1) + q_2) + ..., so
-    # each cell's margin is bit-equal to what evaluate reports for it.
-    cost = np.zeros((1,) * (d + 1))
-    for k in range(d):
-        cost = cost + axes[k].reshape((1,) * (k + 1) + (-1,) + (1,) * (d - k - 1))
+    # Each cell's cost follows ppu's rule, so its margin is bit-equal to
+    # what evaluate reports for it.
+    cost = _axis_sum(
+        axes[k].reshape((1,) * (k + 1) + (-1,) + (1,) * (d - k - 1)) for k in range(d)
+    )
     margin = prices.reshape((-1,) + (1,) * d) - cost
     profit = margin * counts
 

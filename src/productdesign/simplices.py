@@ -19,9 +19,10 @@ values.
 
 Every query uses the float containment rule of :func:`contains`:
 ``x_k >= a_k`` on every axis and ``((0.0 + x_0) + x_1) + ... <= sum_cap``,
-the corner summed in the same axis order plus ``s``.  Rounding is monotone
-in each term, so every homothet contains its own corner, and a deepest
-point's depth is the number of homothets :func:`contains` accepts there.
+the corner summed in the same axis order (the package's cost rule) plus
+``s``.  Rounding is monotone in each term, so every homothet contains its
+own corner, and a deepest point's depth is the number of homothets
+:func:`contains` accepts there.
 
 The exact deepest point slices that corner grid one axis at a time.  A
 homothet meets the grid lines through a fixed prefix ``x_0 .. x_{k-1}`` in
@@ -45,13 +46,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, GuardExceededError
+from .market import _axis_sum
 
 # Pairs expanded plus stab events allowed in one exact deepest-point query;
 # it also bounds the candidate pairs of one `arrangement_stats` query.
@@ -94,8 +94,8 @@ class SimplexHomothet:
     @property
     def sum_cap(self) -> float:
         """Upper bound on coordinate sums inside the region: the corner
-        summed in axis order (``sum`` compensates floats from Python 3.12)."""
-        return reduce(add, self.corner, 0.0) + self.size
+        summed by the package's cost rule (in axis order), plus the size."""
+        return _axis_sum(self.corner) + self.size
 
 
 def contains(simplex: SimplexHomothet, point: Sequence[float]) -> bool:
@@ -105,7 +105,7 @@ def contains(simplex: SimplexHomothet, point: Sequence[float]) -> bool:
             f"point has {len(point)} coordinates, simplex has {simplex.dim}"
         )
     return all(x >= a for x, a in zip(point, simplex.corner)) and (
-        reduce(add, point, 0.0) <= simplex.sum_cap
+        _axis_sum(point) <= simplex.sum_cap
     )
 
 
@@ -217,7 +217,7 @@ def arrangement_stats(simplices: Sequence[SimplexHomothet]) -> ArrangementStats:
     order = np.argsort(corners[:, 0], kind="stable")
     cols = [corners[order, k] for k in range(d)]
     size = sizes[order]
-    cap = sum(cols) + size  # SimplexHomothet.sum_cap, summed in axis order
+    cap = _axis_sum(cols) + size  # SimplexHomothet.sum_cap
     # A pair meets only if the later corner's x is within the earlier
     # one's x-extent: the meet corner's sum is at least that x plus the
     # earlier corner's other coordinates, and the cap is at most its own
@@ -241,7 +241,7 @@ def arrangement_stats(simplices: Sequence[SimplexHomothet]) -> ArrangementStats:
         t = np.arange(lo, min(lo + _PAIR_BUDGET, total))
         i = np.searchsorted(first, t, side="right") - 1
         j = i + 1 + t - first[i]
-        meet = sum(np.maximum(col[i], col[j]) for col in cols)  # in axis order
+        meet = _axis_sum(np.maximum(col[i], col[j]) for col in cols)
         hit = meet <= np.minimum(cap[i], cap[j])
         i, j = i[hit], j[hit]
         pairwise += i.size
@@ -302,7 +302,7 @@ class _CornerGrid:
     def __init__(self, corners: np.ndarray):
         self.n, self.d = corners.shape
         self.cols = [np.ascontiguousarray(corners[:, k]) for k in range(self.d)]
-        self.csum = sum(self.cols)  # as SimplexHomothet.sum_cap
+        self.csum = _axis_sum(self.cols)  # as SimplexHomothet.sum_cap
         self.rest = [corners[:, k + 1 :].sum(axis=1) for k in range(self.d)]
         self.values, self.first, self.inverse = zip(
             *(

@@ -185,6 +185,25 @@ class TestSolveApprox:
             tracemalloc.stop()
         assert peak < 100_000  # the margins alone are 8000 bytes
 
+    @pytest.mark.parametrize(
+        "customer", [(3.57, [1.16]), (5.69, [0.93, 0.46]), (7.95, [0.29, 2.74, 0.03])]
+    )
+    def test_single_customer_gets_their_own_offer(self, customer):
+        # fl(fl(p - S) + S) > p here, so a product lifted from the top
+        # margin is priced above the one budget
+        m = market_of(customer)
+        assert pd.solve_approx(m, 0.25).profit == pd.brute_force_optimum(m).profit
+
+    def test_top_margin_is_reached_at_nine_qualities(self):
+        # numpy's pairwise row sum differs from axis order from d = 8 on
+        rng = np.random.default_rng(3)
+        for case in range(400):
+            q = rng.uniform(0, 1, size=9)
+            p = rng.uniform(q.sum(), q.sum() + 1)
+            m = pd.Market.from_arrays([p], [q])
+            top = pd.ppu(m.customer(0))
+            assert pd.max_ppu(m) == top == pd.solve_approx(m, 0.25).profit, case
+
     def test_profit_is_reevaluation_of_product(self):
         for seed in range(8):
             m = pd.random_pareto_market(30, 2, seed=seed)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import productdesign as pd
-from productdesign import market as market_mod, simplices
+from productdesign import cli, market as market_mod, simplices
 from productdesign.cli import load_market, main, run
 
 
@@ -149,6 +149,23 @@ class TestRun:
             "status": "no_profitable_product",
             "profit": 0.0,
         }
+
+    def test_approx_sells_to_a_lone_customer(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("price,q1\n3.57,1.16\n")
+        result = run(str(path), "approx", epsilon=0.25)["result"]
+        assert result["status"] == "ok" and result["profit"] == 2.41
+
+    def test_approx_no_profit_report_is_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_text("price,q1\n3.57,1.16\n")
+        monkeypatch.setattr(
+            cli,
+            "solve_approx_detailed",
+            lambda market, eps: (pd.NO_PROFITABLE_PRODUCT, [], pd.LadderStats(0, None)),
+        )
+        with pytest.raises(AssertionError, match="positive customer margin"):
+            run(str(path), "approx", epsilon=0.25)
 
 
 class TestMainExitCodes:

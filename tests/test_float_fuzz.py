@@ -1,6 +1,9 @@
 """Differential fuzz of every solver against the exhaustive oracle on
 pruned two-decimal float markets, some customers with negative margins."""
 
+import builtins
+import math
+
 import numpy as np
 
 import productdesign as pd
@@ -37,3 +40,43 @@ def test_cli_reverifies_every_bruteforce_result(tmp_path):
         path.write_text(pd.market_to_csv(market))
         report = run(str(path), "bruteforce")
         assert report["result"]["profit"] == pd.brute_force_optimum(market).profit
+
+
+_builtin_sum = builtins.sum
+
+
+def _neumaier_sum(iterable, /, start=0):
+    """CPython 3.12's ``sum`` of Python floats, Neumaier-compensated;
+    any other items are added as before."""
+    items = list(iterable)
+    if type(start) not in (int, float) or set(map(type, items)) != {float}:
+        return _builtin_sum(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_cost_rule_ignores_the_builtin_sum(tmp_path, monkeypatch):
+    """Costs keep their axis-order bits when ``sum`` compensates floats,
+    as it does from Python 3.12, so every Python gets the same reports."""
+    rng = np.random.default_rng(84)
+    markets = [float_market(rng, 12, 1 + case % 3) for case in range(30)]
+    items = [c for m in markets for c in m]
+
+    def costs():
+        return [
+            (pd.ppu(c).hex(), pd.lift_point(c.qualities, 0.5).price.hex())
+            for c in items
+        ]
+
+    before = costs()
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+    assert sum([0.1, 0.2, 0.3]) == 0.6 != (0.1 + 0.2) + 0.3
+    assert costs() == before
+    path = tmp_path / "m.csv"
+    path.write_text("price,q1,q2,q3\n1.0,0.1,0.2,0.3\n")
+    assert run(str(path), "bruteforce")["result"]["profit"] == 1.0 - ((0.1 + 0.2) + 0.3)
+    test_cli_reverifies_every_bruteforce_result(tmp_path)

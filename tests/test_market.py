@@ -57,6 +57,12 @@ class TestDomainTypes:
         assert tuple(m) == (pd.Customer(3, (1,)), pd.Customer(2, (0,)))
         assert len(m) == 2 and m.dim == 1
 
+    def test_market_equality_and_repr(self):
+        m = market_of((3, [1, 2]), (2, [0, 0]))
+        assert m == market_of((3, [1, 2]), (2, [0, 0]))
+        assert m.__eq__((3, [1, 2])) is NotImplemented and m != "market"
+        assert repr(m) == "Market(n=2, dim=2)"
+
     def test_market_arrays_read_only(self):
         m = market_of((3, [1]), (2, [0]))
         with pytest.raises(ValueError):
@@ -433,6 +439,14 @@ class TestGenerators:
         assert pd.Market.from_arrays(m.prices, m.qualities) == m
         assert (m.prices - m.qualities[:, 0] > 0).any()
         assert np.all(m.prices == np.round(m.prices))  # integer coordinates
+
+    @pytest.mark.parametrize(
+        "args", [(0, 2, (0, 100)), (5, 0, (0, 100)), (5, 2, (5, 1))]
+    )
+    def test_random_market_rejects_bad_arguments(self, args):
+        n, d, value_range = args
+        with pytest.raises(ValueError):
+            pd.random_pareto_market(n, d, value_range=value_range)
 
     def test_element_uniqueness_construction(self):
         m = pd.element_uniqueness_instance([5, 5, 7])

@@ -212,6 +212,12 @@ class TestSimplexArray:
         with pytest.raises(ValueError):
             pd.deepest_point_exact(arr[:0])
 
+    def test_queries_reject_mixed_dimensions(self):
+        sims = [S((0.0, 0.0), 1.0), S((0.0,), 1.0)]
+        for query in (pd.deepest_point_exact, pd.arrangement_stats):
+            with pytest.raises(pd.DimensionMismatchError, match="simplex 1"):
+                query(sims)
+
 
 class TestDeepestPointExact:
     def test_single_simplex(self):
@@ -402,6 +408,11 @@ class TestDeepestPointExact:
 
 
 class TestGenerators:
+    def test_random_homothets_rejects_empty_shapes(self):
+        for n, d in ((0, 2), (3, 0)):
+            with pytest.raises(ValueError):
+                pd.random_homothets(n, d)
+
     def test_random_homothets_deterministic(self):
         a = pd.random_homothets(10, 2, seed=3)
         b = pd.random_homothets(10, 2, seed=3)
