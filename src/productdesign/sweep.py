@@ -66,21 +66,42 @@ instead of being paged in again.  A block cut by a window edge merges
 the maxima of its parts, the later (rightmost) column winning a tie, so
 the windows change no row's maximum or argmax.
 
-Only the overall maximum is needed, so before each pass a block (rows
-``lo..hi``, columns ``lo_col..hi_col``) is dropped when no row of it has
-a band (``j0(lo) > min(hi_col, hi)``) or when its bound
+Only the overall maximum is needed, so before each pass every pending
+block (rows ``lo..hi``, columns ``lo_col..hi_col``) is bounded and
+trimmed.  Its positive entries lie in the columns ``low..top``, with
+``low = max(lo_col, j0(lo))`` and ``top = min(hi_col, hi)``; a block with
+``low > top`` has none and is dropped.  The rows ``lo..hi`` and the
+columns ``low..top`` are each cut into ``k`` near-equal pieces, and the
+piece of rows ``ra..rb`` and columns ``ca..cb`` is bounded by
 
-    (p[lo] - q[min(hi_col, hi)]) * (hi + 1 - max(lo_col, j0(lo)))
+    (p[ra] - q[min(cb, rb)]) * (rb + 1 - ca),
 
-is strictly below the best entry found so far (0 at the start): the
-highest price of the block, less the lowest quality any of its rows
-reaches, times the largest count of a positive entry.  Float subtraction
-and multiplication round monotonically, so no positive float entry
-exceeds the float bound.  A row holding the maximum is therefore never
-dropped.  Ties with the best are kept, so the first row holding the
-maximum, and its rightmost maximizing column, are still the ones
-reported; dropping ties would let a lower-priced row found in an earlier
-pass stand in for a higher-priced row that only ties it.
+the highest price of its rows, less the lowest quality they reach in it,
+times the largest count of an entry in it; it is empty when ``ca >
+min(cb, rb)``.  Float subtraction and multiplication round
+monotonically, so no positive float entry of a piece exceeds its float
+bound.  A block is kept when a piece bound is at least the best entry
+found so far (0 at the start), and its rows are trimmed to the first
+through the last row of such pieces; every row dropped, inside a block or
+with it, has all its entries below the best, so a row holding the maximum
+is never dropped.  The columns are not trimmed, as a kept row's own
+maximum may lie in a piece below the best: the block's column range
+holds the rightmost maximizing column of every one of its rows, so it
+holds those of the trimmed rows too, and each searched row keeps the
+maximum and rightmost argmax of its whole row.  Ties with the best are
+kept, so the first row holding the maximum, and its rightmost maximizing
+column, are still the ones reported; dropping ties would let a
+lower-priced row found in an earlier pass stand in for a higher-priced
+row that only ties it.
+
+The grid is ``k = isqrt(_PIECE_BUDGET // blocks)`` pieces a side, at
+least 1, so a pruning step computes at most ``_PIECE_BUDGET`` piece
+bounds, or one per block when more blocks are pending than that; with
+``k = 1`` the one piece is the whole block.  The box bound of a whole
+block pairs its highest price with its lowest quality, which sit at
+opposite corners of the block, and so keeps most blocks long after the
+best is within a few percent of the optimum; the pieces pair the price
+and the quality of nearby rows.
 
 The search returns only the rows it scanned, each with a positive
 maximum and the same rightmost maximizing column a scan of the whole row
@@ -92,6 +113,7 @@ against the market with :func:`~productdesign.market.evaluate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -109,6 +131,9 @@ from .market import (
 # allocates a few arrays of this length, so the pass arrays keep one size
 # from pass to pass and solve to solve
 _ENTRY_BUDGET = 1 << 16
+# piece bounds one pruning step computes at most (with fewer than that
+# many pending blocks): each block gets a k x k grid of them
+_PIECE_BUDGET = _ENTRY_BUDGET >> 4
 
 
 @dataclass
@@ -119,10 +144,14 @@ class SweepStats:
     the events that repeat an earlier quality.  Every event is a matrix
     column: ``entries`` counts the entries the search evaluated, all in
     their rows' positive-margin bands, and ``rows_pruned`` the rows it
-    never scanned, because their block's bound fell below the best entry
-    already found or because the row has no positive-margin entry in its
-    column range.  ``certificate_pushes`` is always 0; it is kept only
-    because the benchmark in ``perfbench/`` reads it.
+    never scanned: rows with no positive-margin entry in their column
+    range, and rows whose every piece bound fell below the best entry
+    already found, with their block or trimmed off its ends (each pending
+    block is cut into a grid of at most ``_PIECE_BUDGET`` pieces over all
+    blocks; a trimmed block keeps its columns, so every scanned row still
+    gets its whole-row maximum and rightmost argmax).
+    ``certificate_pushes`` is always 0; it is kept only because the
+    benchmark in ``perfbench/`` reads it.
     """
 
     events: int = 0
@@ -207,13 +236,17 @@ def _row_maxima(
     positive-margin band within that block's column range ``lo_col..hi_col``
     (cut at the row itself), at most ``_ENTRY_BUDGET`` entries at a time;
     its argmax, or for an empty band the band's first column, bounds the
-    ranges of the rows above and below.  A block with no band, or whose
-    bound (highest price less lowest reachable quality, times largest
-    count of a positive entry; see the module docstring for why it bounds
-    every positive float entry) is strictly below the best peak found so
-    far, is dropped before the next pass; ties are kept.  Returns the
-    searched rows in search order, their maxima (all positive) and argmax
-    columns, and the number of entries evaluated.
+    ranges of the rows above and below.  Before the next pass a block
+    with no band is dropped, and so is a block whose every piece bound
+    (a grid of at most ``_PIECE_BUDGET`` pieces over all blocks, each
+    bounded by its highest price less the lowest quality it reaches,
+    times its largest count; see the module docstring for why that
+    bounds every positive float entry) is strictly below the best peak
+    found so far; ties are kept.  A kept block's rows are trimmed to the
+    pieces that reach the best, its columns are not, so each searched
+    row's column range still holds its whole-row rightmost argmax.
+    Returns the searched rows in search order, their maxima (all
+    positive) and argmax columns, and the number of entries evaluated.
     """
     n = p.size
     found_rows, found_max, found_arg = [], [], []
@@ -273,13 +306,32 @@ def _row_maxima(
             np.concatenate((lo_col[above], split[below])),
             np.concatenate((split[above], hi_col[below])),
         )
-        price = p[lo]
-        low = negq.searchsorted(-price, "right")
+        # cut each block with a band into a k x k grid of pieces (see the
+        # module docstring), keep the blocks with a piece bound >= best and
+        # trim their rows to such pieces; their columns stay whole
+        low = negq.searchsorted(-p[lo], "right")
         np.maximum(low, lo_col, out=low)
         top = np.minimum(hi_col, hi)
-        bound = (price + negq[top]) * (hi + 1 - low)
-        keep = (low <= top) & (bound >= best)
-        lo, hi, lo_col, hi_col = lo[keep], hi[keep], lo_col[keep], hi_col[keep]
+        band = low <= top
+        lo, hi, lo_col, hi_col = lo[band], hi[band], lo_col[band], hi_col[band]
+        low, top = low[band], top[band]
+        k = max(1, isqrt(_PIECE_BUDGET // max(lo.size, 1)))
+        cut = np.arange(k + 1)
+        row_cut = lo[:, None] + (hi + 1 - lo)[:, None] * cut // k
+        col_cut = low[:, None] + (top + 1 - low)[:, None] * cut // k
+        ra, rb = row_cut[:, :-1], row_cut[:, 1:] - 1
+        ca, cb = col_cut[:, None, :-1], col_cut[:, None, 1:] - 1
+        last = np.minimum(cb, rb[:, :, None])
+        bound = p[ra][:, :, None] + negq[last]
+        bound *= rb[:, :, None] + 1 - ca
+        reach = ((ca <= last) & (bound >= best)).any(axis=2)
+        # more pieces than rows leaves some row pieces empty
+        reach &= ra <= rb
+        keep = reach.any(axis=1)
+        first = reach.argmax(axis=1)[keep]
+        final = k - 1 - reach[:, ::-1].argmax(axis=1)[keep]
+        lo, hi = ra[keep, first], rb[keep, final]
+        lo_col, hi_col = lo_col[keep], hi_col[keep]
     return (
         np.concatenate(found_rows),
         np.concatenate(found_max),

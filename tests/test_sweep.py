@@ -336,12 +336,12 @@ class TestBlockPruning:
         for seed in range(4):
             m = pd.random_pareto_market(n, 1, seed=seed, value_range=(0, 20 * n))
             stats = assert_matches_unpruned(m)
-            # on this distribution the bound leaves only a few hundred rows,
-            # and the positive-margin bands cut the entries scanned in them
-            # (over 90,000 when every row is scanned from its block's first
-            # column)
+            # on this distribution the piece bounds leave only a few dozen
+            # rows, and the positive-margin bands cut the entries scanned in
+            # them (over 90,000 when every row is scanned from its block's
+            # first column, 55,000-60,000 under one box bound per block)
             assert stats.rows_pruned >= 0.95 * n, f"seed {seed}"
-            assert stats.entries <= 65_000, f"seed {seed}"
+            assert stats.entries <= 20_000, f"seed {seed}"
 
     def test_matches_unpruned_search_on_tie_heavy_markets(self):
         rng = np.random.default_rng(17)
@@ -510,6 +510,64 @@ class TestEntryWindows:
                 got = search(m)
                 for a, b in zip(got[:3], searched[:3]):
                     assert np.array_equal(a, b), f"budget {budget}, market {i}"
+
+
+class TestPieceBounds:
+    """Each pruning step bounds a k x k grid of pieces per pending block,
+    ``k = isqrt(_PIECE_BUDGET // blocks)``, and trims each kept block's
+    rows to the pieces that may reach the best; budget 1 is the single
+    box bound per block.  No budget changes a report or a searched row's
+    maximum and rightmost argmax."""
+
+    BUDGETS = (1, 2, 7, 50, sweep._PIECE_BUDGET)
+
+    def test_budgets_match_the_unpruned_search(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        markets = list(TestStoredOrder.markets(rng))
+        markets += [
+            pd.random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
+            for n in (700, 5000)
+        ]
+        expected = [pd.solve_exact_1d(m) for m in markets]
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(sweep, "_PIECE_BUDGET", budget)
+            for i, (m, report) in enumerate(zip(markets, expected)):
+                stats = assert_matches_unpruned(m)
+                assert pd.solve_exact_1d_with_stats(m) == (report, stats), (
+                    f"budget {budget}, market {i}"
+                )
+
+    @pytest.mark.parametrize(
+        "rows, counts",
+        [
+            ([(5, [1]), (3, [0]), (1, [0])], (3, 1)),
+            ([(10, [8]), (5, [6]), (3, [0])], (2, 1)),
+            ([(2, [1]), (4, [2]), (13, [10])], (2, 1)),
+        ],
+    )
+    def test_budget_one_is_the_box_bound(self, monkeypatch, rows, counts):
+        # (entries, rows_pruned) of the hand-built markets above under one
+        # box bound per block, (p[lo] - q[min(hi_col, hi)]) times the
+        # largest count
+        monkeypatch.setattr(sweep, "_PIECE_BUDGET", 1)
+        _, stats = pd.solve_exact_1d_with_stats(market_of(*rows))
+        assert (stats.entries, stats.rows_pruned) == counts
+
+    def test_piece_grid_stays_within_the_budget(self, monkeypatch):
+        # with windows of 256 entries, the piece grid is the largest thing
+        # a pruning step allocates besides the event columns: at most
+        # _PIECE_BUDGET pieces over all pending blocks, each a few 8-byte
+        # values, however many blocks are pending
+        monkeypatch.setattr(sweep, "_ENTRY_BUDGET", 256)
+        n = 20_000
+        m = pd.random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
+        tracemalloc.start()
+        try:
+            pd.solve_exact_1d(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n + 64 * (sweep._ENTRY_BUDGET + sweep._PIECE_BUDGET)
 
 
 class TestWorkingSet:
