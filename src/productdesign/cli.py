@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -38,6 +39,8 @@ SCHEMA_VERSION = 6
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 # Tolerance of `bench approx`, the one the benchmark's approx workload uses.
 BENCH_EPSILON = 0.25
+# Timed calls per `bench` row, after one untimed warm-up call.
+_BENCH_REPEATS = 5
 
 
 def load_market(path: str, prune: bool = False) -> tuple[Market, int]:
@@ -181,6 +184,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _timed(call) -> tuple[object, float]:
+    """``call()``'s result and its median wall time in ms over
+    ``_BENCH_REPEATS`` calls, after one warm-up call."""
+    result = call()
+    times = []
+    for _ in range(_BENCH_REPEATS):
+        start = time.perf_counter()
+        result = call()
+        times.append((time.perf_counter() - start) * 1000.0)
+    return result, statistics.median(times)
+
+
 def _time_ratios(rows: list[dict]) -> list[float | None]:
     return [
         round(rows[i]["ms"] / rows[i - 1]["ms"], 3) if rows[i - 1]["ms"] else None
@@ -193,9 +208,7 @@ def _bench_sweep(args) -> int:
     for n in (int(s) for s in args.sizes.split(",")):
         # the distribution criterion 8 times: nearly every quality distinct
         market = random_pareto_market(n, 1, seed=args.seed, value_range=(0, 20 * n))
-        start = time.perf_counter()
-        report, stats = solve_exact_1d_with_stats(market)
-        ms = (time.perf_counter() - start) * 1000.0
+        (report, stats), ms = _timed(lambda: solve_exact_1d_with_stats(market))
         rows.append(
             {
                 "n": n,
@@ -218,9 +231,9 @@ def _bench_approx(args) -> int:
         rng = np.random.default_rng(args.seed)
         q = rng.uniform(0, 100, size=(n, args.d))
         market = _prune_arrays(q.sum(axis=1) + rng.uniform(1, 5, size=n), q)
-        start = time.perf_counter()
-        report, levels, ladder = solve_approx_detailed(market, BENCH_EPSILON)
-        ms = (time.perf_counter() - start) * 1000.0
+        (report, levels, ladder), ms = _timed(
+            lambda: solve_approx_detailed(market, BENCH_EPSILON)
+        )
         rows.append(
             {
                 "n": n,
@@ -251,9 +264,7 @@ def _bench_arrangement(args) -> int:
     for n in sizes:
         for k in depths:
             family = depth_controlled_family(n, k, seed=args.seed)
-            start = time.perf_counter()
-            stats = arrangement_stats(family)
-            ms = (time.perf_counter() - start) * 1000.0
+            stats, ms = _timed(lambda: arrangement_stats(family))
             rows.append(
                 {
                     "n": n,

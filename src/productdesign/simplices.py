@@ -31,15 +31,17 @@ simplex, of size ``s - sum_{i<k} (x_i - a_i)``), so each (prefix,
 homothet) pair expands into the run of prefixes one axis longer; on the
 last axis every grid line is stabbed by its runs at once.  The work is
 the number of pairs expanded plus the stab events, which follows the
-arrangement's local depth rather than the grid's size; it is counted
-before each expansion allocates anything, so an oversized query is
-refused before it grows.  The corner values are sorted once per set of
-homothets (``_CornerGrid``); any first ``m`` of them, as an approximation
-level is, take their own grid lines from that sort.
+corner values inside each homothet's extent, not the grid's size nor
+the arrangement's depth (dense values make it large at small depth); it
+is counted before each expansion allocates anything, so an oversized
+query is refused before it grows.  The corner values are sorted once per
+set of homothets (``_CornerGrid``); any first ``m`` of them, as an
+approximation level is, take their own grid lines from that sort.
 
-Homothets can be given one object at a time (:class:`SimplexHomothet`) or
-as arrays (:class:`SimplexArray`); every query accepts either.  All
-structures are immutable once built and queries are pure.
+The queries take homothets as arrays (:class:`SimplexArray`); one
+homothet is a :class:`SimplexHomothet`, the form :func:`contains` and
+:func:`intersects` test.  All structures are immutable once built and
+queries are pure.
 """
 
 from __future__ import annotations
@@ -165,20 +167,12 @@ def _rounding_pad(scale: float, d: int) -> float:
     return 4 * (d + 2) * float(np.spacing(scale))
 
 
-def _as_arrays(simplices: Sequence[SimplexHomothet]) -> tuple[np.ndarray, np.ndarray]:
+def _as_arrays(simplices: SimplexArray) -> tuple[np.ndarray, np.ndarray]:
+    if not isinstance(simplices, SimplexArray):
+        raise TypeError(f"expected a SimplexArray, got {type(simplices).__name__}")
     if not len(simplices):
         raise ValueError("need at least one simplex")
-    if isinstance(simplices, SimplexArray):
-        return simplices.corners, simplices.sizes
-    d = simplices[0].dim
-    for i, s in enumerate(simplices):
-        if s.dim != d:
-            raise DimensionMismatchError(
-                f"simplex {i} has dimension {s.dim}, expected {d}"
-            )
-    corners = np.array([s.corner for s in simplices], dtype=float)
-    sizes = np.array([s.size for s in simplices], dtype=float)
-    return corners, sizes
+    return simplices.corners, simplices.sizes
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,7 @@ class ArrangementStats:
     pairwise_intersections: int
 
 
-def arrangement_stats(simplices: Sequence[SimplexHomothet]) -> ArrangementStats:
+def arrangement_stats(simplices: SimplexArray) -> ArrangementStats:
     """Count intersecting pairs and, in the plane, their boundary crossings.
 
     Pairs are tested with the float predicate of :func:`intersects`, so the
@@ -249,7 +243,7 @@ def arrangement_stats(simplices: Sequence[SimplexHomothet]) -> ArrangementStats:
             vertices += _edge_crossings(cols, size, cap, i, j)
     return ArrangementStats(
         vertex_count=vertices,
-        max_depth=deepest_point_exact(SimplexArray(corners, sizes)).depth,
+        max_depth=deepest_point_exact(simplices).depth,
         pairwise_intersections=pairwise,
     )
 
@@ -295,15 +289,14 @@ class _CornerGrid:
     keeps the values whose first corner is among them (a mask), and a
     corner's position on it is the number of kept values up to its own
     (a ``cumsum``), so no prefix is sorted or searched again.  The corner
-    sums ``csum`` (in axis order) and the sums after each axis ``rest[k]``
-    are per-corner, the same for a prefix as for the whole set.
+    sums ``csum`` (in axis order) are per-corner, the same for a prefix as
+    for the whole set.
     """
 
     def __init__(self, corners: np.ndarray):
         self.n, self.d = corners.shape
         self.cols = [np.ascontiguousarray(corners[:, k]) for k in range(self.d)]
         self.csum = _axis_sum(self.cols)  # as SimplexHomothet.sum_cap
-        self.rest = [corners[:, k + 1 :].sum(axis=1) for k in range(self.d)]
         self.values, self.first, self.inverse = zip(
             *(
                 np.unique(col, return_index=True, return_inverse=True)
@@ -314,8 +307,6 @@ class _CornerGrid:
     def axes(self, m: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Sorted distinct values of the first ``m`` corners per axis, and
         each of those corners' positions among them."""
-        if m == self.n:
-            return list(self.values), list(self.inverse)
         axes, pos = [], []
         for values, first, inverse in zip(self.values, self.first, self.inverse):
             keep = first < m
@@ -358,8 +349,6 @@ class _GridSlicer:
         self.n, self.d = sizes.size, grid.d
         self.cols = [col[: self.n] for col in grid.cols]
         self.caps = grid.csum[: self.n] + sizes
-        # Sum of the coordinates after axis k, for the estimate of `hi`.
-        self.rest = [rest[: self.n] for rest in grid.rest]
         self.axes, self.pos = grid.axes(self.n)
         self.rank_rows = math.prod(ax.size for ax in self.axes) >= _DIRECT_KEY_CELLS
         self.work = 0
@@ -381,32 +370,33 @@ class _GridSlicer:
                 f"exceeds the {EXACT_DEPTH_GUARD} guard"
             )
 
-    def _fits(self, k, sim, part, at):
-        """Whether position ``at`` on axis ``k``, completed by the corners'
-        remaining coordinates, is under each pair's cap."""
-        total = part + self.axes[k][at]
-        for i in range(k + 1, self.d):
-            total = total + self.cols[i][sim]
-        return total <= self.caps[sim]
-
     def _ends(self, k, sim, part):
         """One past the last axis-``k`` position each pair admits."""
         axis = self.axes[k]
         m = axis.size
-        bound = self.caps[sim] - part - self.rest[k][sim]
-        hi = np.searchsorted(axis, bound, side="right")
+        cap = self.caps[sim]
+        later = [col[sim] for col in self.cols[k + 1 :]]
+
+        def fits(at, rows=slice(None)):
+            # position `at` on axis k, completed by the rows' later
+            # coordinates, under their caps: the rule of `contains`
+            total = part[rows] + axis[at]
+            for col in later:
+                total = total + col[rows]
+            return total <= cap[rows]
+
+        hi = np.searchsorted(axis, cap - part - _axis_sum(later), side="right")
         # The subtracted bound is only an estimate of the float predicate:
         # keep `hi` where it is exact, bisect the rest on the predicate.
-        above = (hi < m) & self._fits(k, sim, part, np.minimum(hi, m - 1))
-        below = (hi > 0) & ~self._fits(k, sim, part, np.maximum(hi - 1, 0))
+        above = (hi < m) & fits(np.minimum(hi, m - 1))
+        below = (hi > 0) & ~fits(np.maximum(hi - 1, 0))
         wrong = np.flatnonzero(above | below)
         if wrong.size:
-            s, p = sim[wrong], part[wrong]
             lo = np.zeros(wrong.size, dtype=np.intp)
             up = np.full(wrong.size, m, dtype=np.intp)
             while (lo < up).any():
                 mid = (lo + up) // 2
-                ok = self._fits(k, s, p, np.minimum(mid, m - 1))
+                ok = fits(np.minimum(mid, m - 1), wrong)
                 active = lo < up
                 lo = np.where(active & ok, mid + 1, lo)
                 up = np.where(active & ~ok, mid, up)
@@ -476,7 +466,7 @@ def _key_windows(start: np.ndarray, end: np.ndarray, parts: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def deepest_point_exact(simplices: Sequence[SimplexHomothet]) -> DepthResult:
+def deepest_point_exact(simplices: SimplexArray) -> DepthResult:
     """Deepest point of the homothets, by slicing the corner-value grid.
 
     Some optimum lies on the grid of per-axis corner values (see the
@@ -500,20 +490,13 @@ def deepest_point_exact(simplices: Sequence[SimplexHomothet]) -> DepthResult:
 # ---------------------------------------------------------------------------
 
 
-def random_homothets(
-    n: int,
-    d: int,
-    seed: int = 0,
-    *,
-    corner_range: tuple[float, float] = (0.0, 8.0),
-) -> SimplexArray:
+def random_homothets(n: int, d: int, seed: int = 0) -> SimplexArray:
     """Deterministic random homothets with a healthy amount of overlap:
-    corners uniform in ``corner_range`` per axis, sizes uniform in
-    ``[0.5, 3)``."""
+    corners uniform in ``[0, 8)`` per axis, sizes uniform in ``[0.5, 3)``."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     rng = np.random.default_rng(seed)
-    corners = rng.uniform(corner_range[0], corner_range[1], size=(n, d))
+    corners = rng.uniform(0.0, 8.0, size=(n, d))
     sizes = rng.uniform(0.5, 3.0, size=n)
     return SimplexArray(corners, sizes)
 

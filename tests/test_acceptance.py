@@ -136,7 +136,8 @@ def test_criterion_6_depth_oracle_equivalence():
     rng = np.random.default_rng(6)
     for case in range(100):
         n = int(rng.integers(2, 41))
-        sims = pd.random_homothets(n, 2, seed=case, corner_range=(0, 6))
+        draw = np.random.default_rng(case)
+        sims = pd.SimplexArray(draw.uniform(0, 6, (n, 2)), draw.uniform(0.5, 3, n))
         assert pd.deepest_point_exact(sims).depth == vertex_oracle_depth(sims), (
             f"case {case}"
         )

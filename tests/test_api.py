@@ -123,7 +123,7 @@ def test_approx_defines_only_the_ladder_search():
 def test_constructors_and_generators_take_no_unused_options():
     for fn, params in (
         (pd.Market.__init__, ["self", "customers"]),
-        (pd.random_homothets, ["n", "d", "seed", "corner_range"]),
+        (pd.random_homothets, ["n", "d", "seed"]),
         (pd.depth_controlled_family, ["n", "k", "seed"]),
     ):
         assert list(inspect.signature(fn).parameters) == params, fn.__qualname__

@@ -145,7 +145,9 @@ class TestProjectionIdentity:
                 projected = pd.project_customers(m, c)
                 if not projected:
                     continue
-                sims = [s for s, _ in projected]
+                sims = pd.SimplexArray(
+                    [s.corner for s, _ in projected], [s.size for s, _ in projected]
+                )
                 res = pd.deepest_point_exact(sims)
                 rep = pd.evaluate(m, pd.lift_point(res.point, c))
                 assert rep.buyers == res.depth
@@ -245,9 +247,11 @@ class TestSolveApprox:
                 for c in levels:
                     projected = pd.project_customers(m, c)
                     if projected:
-                        depth = pd.deepest_point_exact(
-                            [s for s, _ in projected]
-                        ).depth
+                        sims = pd.SimplexArray(
+                            [s.corner for s, _ in projected],
+                            [s.size for s, _ in projected],
+                        )
+                        depth = pd.deepest_point_exact(sims).depth
                         best = max(best, c * depth)
                 assert best >= (1 - eps_level) * opt - 1e-9
 

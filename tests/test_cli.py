@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -166,6 +167,22 @@ class TestRun:
         )
         with pytest.raises(AssertionError, match="positive customer margin"):
             run(str(path), "approx", epsilon=0.25)
+
+    def test_report_failing_reevaluation_is_rejected(
+        self, two_customer_csv, tmp_path, monkeypatch
+    ):
+        solve = cli.solve_exact_1d_with_stats
+
+        def profit_off_by_one(market):
+            report, stats = solve(market)
+            return dataclasses.replace(report, profit=report.profit + 1), stats
+
+        monkeypatch.setattr(cli, "solve_exact_1d_with_stats", profit_off_by_one)
+        out = tmp_path / "report.json"
+        argv = ["solve", "--input", two_customer_csv, "--algorithm", "exact1d"]
+        with pytest.raises(AssertionError, match="failed re-evaluation"):
+            main(argv + ["--output", str(out)])
+        assert not out.exists()
 
 
 class TestMainExitCodes:
@@ -444,6 +461,17 @@ class TestGen:
             == 0
         )
         assert load_market(str(path))[0].dim == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_ends_in_one_newline_and_loads_back(self, tmp_path, capsys, fmt):
+        args = ["gen", "--kind", "random", "--n", "40", "--d", "2", "--seed", "9"]
+        assert main(args + ["--format", fmt]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        path = tmp_path / f"m.{fmt}"
+        path.write_text(text)
+        market, _ = load_market(str(path))
+        assert market == pd.random_pareto_market(40, 2, seed=9, value_range=(0, 100))
 
 
 class TestBench:

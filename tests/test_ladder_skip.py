@@ -29,7 +29,11 @@ def search_every_level(market, epsilon):
         projected = pd.project_customers(market, c)
         if not projected:
             continue
-        found = pd.deepest_point_exact([s for s, _ in projected])
+        found = pd.deepest_point_exact(
+            pd.SimplexArray(
+                [s.corner for s, _ in projected], [s.size for s, _ in projected]
+            )
+        )
         product = pd.lift_point(found.point, c)
         report = pd.evaluate(market, product)
         outcomes.append(

@@ -104,21 +104,23 @@ class TestIntersects:
 
 class TestArrangementStats:
     def test_disjoint_pair(self):
-        st = pd.arrangement_stats([S((0, 0), 1), S((5, 5), 1)])
+        st = pd.arrangement_stats(pd.SimplexArray([(0, 0), (5, 5)], [1, 1]))
         assert st.vertex_count == 0
         assert st.pairwise_intersections == 0
         assert st.max_depth == 1
 
     def test_two_overlapping_triangles(self):
         # boundaries cross exactly at (1.5, 0.5) and (0.5, 1.5)
-        st = pd.arrangement_stats([S((0.0, 0.0), 2.0), S((0.5, 0.5), 2.0)])
+        st = pd.arrangement_stats(
+            pd.SimplexArray([(0.0, 0.0), (0.5, 0.5)], [2.0, 2.0])
+        )
         assert st.vertex_count == 2
         assert st.pairwise_intersections == 1
         assert st.max_depth == 2
 
     def test_translates_sharing_a_point(self):
         n = 12
-        sims = [S((0.1 * j, -0.1 * j), 4.0) for j in range(n)]
+        sims = pd.SimplexArray([(0.1 * j, -0.1 * j) for j in range(n)], [4.0] * n)
         st = pd.arrangement_stats(sims)
         assert st.max_depth == n
         assert st.pairwise_intersections == n * (n - 1) // 2
@@ -138,7 +140,8 @@ class TestArrangementStats:
 
     def test_max_depth_matches_exact_query(self):
         for seed in range(15):
-            sims = pd.random_homothets(30, 2, seed=seed, corner_range=(0, 5))
+            rng = np.random.default_rng(seed)  # denser than random_homothets
+            sims = pd.SimplexArray(rng.uniform(0, 5, (30, 2)), rng.uniform(0.5, 3, 30))
             st = pd.arrangement_stats(sims)
             assert st.max_depth == pd.deepest_point_exact(sims).depth
 
@@ -154,10 +157,10 @@ class TestArrangementStats:
 
     def test_rounded_sums_count_like_intersects(self):
         # x + s = 1 < x' before rounding; every sum rounds to 2**52 + 1
-        a = S((0.0, 2.0**52), 1.0)
-        b = S((1.0000000000000002, 2.0**52), 1.0)
+        sims = pd.SimplexArray([(0.0, 2.0**52), (1.0000000000000002, 2.0**52)], [1, 1])
+        a, b = sims
         assert pd.intersects(a, b)
-        st = pd.arrangement_stats([a, b])
+        st = pd.arrangement_stats(sims)
         assert st.max_depth == 2
         assert st.pairwise_intersections == 1
 
@@ -195,6 +198,8 @@ class TestSimplexArray:
             pd.SimplexArray([[0.0, 1.0]], [-0.5])
         with pytest.raises(ValueError):
             pd.SimplexArray([[float("nan"), 1.0]], [1.0])
+        with pytest.raises(ValueError):  # ragged corners of mixed dimension
+            pd.SimplexArray([[0.0, 0.0], [0.0]], [1.0, 1.0])
 
     def test_arrays_are_read_only_copies(self):
         corners = np.zeros((2, 2))
@@ -204,44 +209,39 @@ class TestSimplexArray:
         with pytest.raises(ValueError):
             arr.sizes[0] = 3.0
 
-    def test_queries_accept_arrays(self):
+    def test_queries_take_arrays_only(self):
         arr = pd.random_homothets(30, 2, seed=6)
-        sims = list(arr)
-        assert pd.deepest_point_exact(arr) == pd.deepest_point_exact(sims)
-        assert pd.arrangement_stats(arr) == pd.arrangement_stats(sims)
+        for query in (pd.deepest_point_exact, pd.arrangement_stats):
+            with pytest.raises(TypeError, match="SimplexArray"):
+                query(list(arr))
         with pytest.raises(ValueError):
             pd.deepest_point_exact(arr[:0])
-
-    def test_queries_reject_mixed_dimensions(self):
-        sims = [S((0.0, 0.0), 1.0), S((0.0,), 1.0)]
-        for query in (pd.deepest_point_exact, pd.arrangement_stats):
-            with pytest.raises(pd.DimensionMismatchError, match="simplex 1"):
-                query(sims)
 
 
 class TestDeepestPointExact:
     def test_single_simplex(self):
-        res = pd.deepest_point_exact([S((0, 0), 1)])
+        res = pd.deepest_point_exact(pd.SimplexArray([(0, 0)], [1]))
         assert res == pd.DepthResult((0.0, 0.0), 1)
 
     def test_three_triangles(self):
         res = pd.deepest_point_exact(
-            [S((0, 0), 1), S((0.2, 0), 1), S((0, 0.2), 1)]
+            pd.SimplexArray([(0, 0), (0.2, 0), (0, 0.2)], [1, 1, 1])
         )
         assert res.point == (0.2, 0.2) and res.depth == 3
 
     def test_disjoint(self):
-        assert pd.deepest_point_exact([S((0, 0), 1), S((5, 5), 1)]).depth == 1
+        sims = pd.SimplexArray([(0, 0), (5, 5)], [1, 1])
+        assert pd.deepest_point_exact(sims).depth == 1
 
     def test_lexicographic_tie_break(self):
-        res = pd.deepest_point_exact([S((0, 0), 1), S((3, 3), 1)])
+        res = pd.deepest_point_exact(pd.SimplexArray([(0, 0), (3, 3)], [1, 1]))
         assert res.point == (0.0, 0.0)  # both corners reach depth 1
-        res = pd.deepest_point_exact([S((1, 0), 0), S((0, 1), 0)])
+        res = pd.deepest_point_exact(pd.SimplexArray([(1, 0), (0, 1)], [0, 0]))
         assert res.point == (0.0, 1.0)
         # depth-2 points (0, 1, 5) and (0, 2, 0): the smaller second
         # coordinate wins although its last coordinate is larger
         res = pd.deepest_point_exact(
-            [S((0, 2, 0), 0), S((0, 2, 0), 0), S((0, 1, 5), 0), S((0, 1, 5), 0)]
+            pd.SimplexArray([(0, 2, 0), (0, 2, 0), (0, 1, 5), (0, 1, 5)], [0] * 4)
         )
         assert res == pd.DepthResult((0.0, 1.0, 5.0), 2)
 
@@ -271,7 +271,9 @@ class TestDeepestPointExact:
     def test_rounded_sums_follow_the_grid_predicate(self):
         # 1e16 + 1.0 rounds down to 1e16, so the size-0 homothet at
         # (1e16, 0) holds (1e16, 0.5) and (1e16, 1.0) under the grid's sum
-        sims = [S((1e16, v), 0.0) for v in (0.0, 0.5, 1.0, 1.5)] + [S((0, 0), 1)]
+        sims = pd.SimplexArray(
+            [(1e16, v) for v in (0.0, 0.5, 1.0, 1.5)] + [(0, 0)], [0, 0, 0, 0, 1]
+        )
         res = pd.deepest_point_exact(sims)
         assert res == pd.DepthResult((1e16, 1.0), 3)
         assert (res.point, res.depth) == grid_scan_deepest(sims)
@@ -310,7 +312,9 @@ class TestDeepestPointExact:
                 res = pd.deepest_point_exact(sims)
                 assert res.depth == sum(pd.contains(s, res.point) for s in sims)
                 for a, b in itertools.combinations(list(sims)[:5], 2):
-                    pair = pd.deepest_point_exact([a, b])
+                    pair = pd.deepest_point_exact(
+                        pd.SimplexArray([a.corner, b.corner], [a.size, b.size])
+                    )
                     assert pd.intersects(a, b) == (pair.depth == 2)
 
     def test_every_homothet_contains_its_corner(self):
@@ -319,7 +323,8 @@ class TestDeepestPointExact:
         corner = (2.0**53, 3, 3, -1, 2.0**53, -1, -1, -(2.0**53), 1)
         s = S(corner, 0.0)
         assert pd.contains(s, corner)
-        assert pd.deepest_point_exact([s]) == pd.DepthResult(s.corner, 1)
+        res = pd.deepest_point_exact(pd.SimplexArray([corner], [0.0]))
+        assert res == pd.DepthResult(s.corner, 1)
 
     def test_distinct_float_plane_beyond_the_grid_scan(self):
         # 4000 distinct values per axis: the grid scan would visit
@@ -372,7 +377,7 @@ class TestDeepestPointExact:
             pd.deepest_point_exact(sims)
         monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", 3)
         with pytest.raises(pd.GuardExceededError):
-            pd.deepest_point_exact([S((0,), 1), S((1,), 1)])
+            pd.deepest_point_exact(pd.SimplexArray([(0,), (1,)], [1, 1]))
 
     def test_guard_trips_before_expanding(self, monkeypatch):
         def no_expansion(*args, **kwargs):
@@ -392,7 +397,8 @@ class TestDeepestPointExact:
 
     def test_matches_vertex_oracle(self):
         for seed in range(30):
-            sims = pd.random_homothets(35, 2, seed=seed, corner_range=(0, 6))
+            rng = np.random.default_rng(seed)  # denser than random_homothets
+            sims = pd.SimplexArray(rng.uniform(0, 6, (35, 2)), rng.uniform(0.5, 3, 35))
             assert pd.deepest_point_exact(sims).depth == vertex_oracle_depth(sims)
 
     def test_guard(self, monkeypatch):
@@ -402,7 +408,7 @@ class TestDeepestPointExact:
             pd.deepest_point_exact(sims)
 
     def test_one_dimensional(self):
-        sims = [S((0,), 2), S((1,), 2), S((5,), 1)]
+        sims = pd.SimplexArray([(0,), (1,), (5,)], [2, 2, 1])
         res = pd.deepest_point_exact(sims)
         assert res.point == (1.0,) and res.depth == 2
 
