@@ -20,12 +20,11 @@ customer buys it, so a market with a positive margin always gets a
 product.  Each level's deepest point is found exactly, so the guarantee
 is deterministic.
 
-The ladder is built with the tolerance ``1 - sqrt(1 - eps)``, half of the
-budget in the multiplicative sense, and exact depth spends none of the
-other half, so the guarantee holds with room to spare.  Giving the ladder
-all of ``eps`` would search fewer levels, but it would change every
-reported product, profit and level list, so the split is kept until a
-change that measures its effect on profit makes that switch.
+The ladder takes all of ``eps``: adjacent levels are a factor ``1 - eps``
+apart, and exact depth loses nothing at a level, so the ladder's slide is
+the only loss and the guarantee is ``1 - eps`` itself.  Splitting ``eps``
+between the ladder and the depth query would only buy slack for an
+approximate depth; here it would about double the ladder's length.
 
 Most levels cannot change the answer, and they are skipped before they
 are projected or searched.  A level replaces the running best only if it
@@ -57,7 +56,7 @@ coordinate.  The cap needs more: the lowest level's grid predicate counts
 a buyer of a higher level's product only when the two margins are apart
 by more than those rounding errors.  Every comparison involved is a
 monotone float operation, so that holds once adjacent levels (a factor
-``1 / (1 - part)`` apart) differ by far more than the padding; on ladders
+``1 / (1 - eps)`` apart) differ by far more than the padding; on ladders
 too fine for that, the cap is dropped and the reach alone bounds a level.
 """
 
@@ -210,19 +209,13 @@ def solve_approx_detailed(
     outcomes in ladder order and what the solve skipped."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    # The ladder takes half of the tolerance, multiplicatively (see the
-    # module notes): (1 - part)**2 == 1 - epsilon.
-    part = 1.0 - math.sqrt(1.0 - epsilon)
-    if part <= 0:
-        raise ValueError(
-            f"epsilon {epsilon} is too small: its ladder share "
-            f"1 - sqrt(1 - epsilon) rounds to 0"
-        )
+    if 1.0 - epsilon == 1.0:
+        raise ValueError(f"epsilon {epsilon} is too small: 1 - epsilon rounds to 1")
     margins = _margins(market)
     r = float(np.max(margins))
     if r <= 0:
         return NO_PROFITABLE_PRODUCT, [], LadderStats(0, None)
-    levels = level_schedule(r, part, len(market))
+    levels = level_schedule(r, epsilon, len(market))
 
     # Seed the running best with the top customer's own offer (module
     # notes); later winners must strictly beat it, so ties resolve toward

@@ -239,6 +239,7 @@ def _bench_approx(args) -> int:
                 "n": n,
                 "pruned_n": len(market),
                 "ms": round(ms, 3),
+                "ladder_levels": len(levels) + ladder.levels_skipped,
                 "levels_searched": len(levels),
                 "levels_skipped": ladder.levels_skipped,
                 "profit": report.profit,

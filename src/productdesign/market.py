@@ -411,15 +411,15 @@ def evaluate(market: Market, product: Product) -> ProfitReport:
 
     A customer considers the product when its price is at most their budget
     and every quality meets their requirement; both comparisons are closed.
-    One pass over the market.
+    One pass over the prices, then one over each quality column.
     """
     if product.dim != market.dim:
         raise DimensionMismatchError(
             f"product has {product.dim} qualities, market has {market.dim}"
         )
-    wants = (market.prices >= product.price) & (
-        market.qualities <= np.asarray(product.qualities)
-    ).all(axis=1)
+    wants = market.prices >= product.price
+    for k, v in enumerate(product.qualities):
+        wants &= market.qualities[:, k] <= v
     buyers = int(np.count_nonzero(wants))
     margin = ppu(product)
     return ProfitReport(product, margin, buyers, margin * buyers)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import productdesign as pd
-from conftest import market_of
+from conftest import float_market, market_of
 from productdesign import simplices
 
 
@@ -170,13 +170,13 @@ class TestSolveApprox:
             pd.solve_approx_detailed(m, 0.5, "exact")
 
     def test_epsilon_whose_ladder_share_rounds_to_zero_is_named(self):
-        # 1 - sqrt(1 - 1e-17) is 0.0 in floating point
+        # 1 - 1e-17 is 1.0 in floating point, so the ladder cannot shrink
         for m in (market_of((3, [1])), market_of((1, [2]))):
             with pytest.raises(ValueError, match="epsilon 1e-17 is too small"):
                 pd.solve_approx(m, 1e-17)
 
     def test_fine_ladder_is_refused_before_it_is_built(self):
-        # at eps = 1e-9 the ladder would hold about 1.4e10 margins
+        # at eps = 1e-9 the ladder would hold about 6.9e9 margins
         m = pd.random_pareto_market(1000, 2, seed=1)
         tracemalloc.start()
         try:
@@ -269,6 +269,19 @@ class TestSolveApprox:
             _, levels, ladder = pd.solve_approx_detailed(m, eps)
             lengths.append(len(levels) + ladder.levels_skipped)
         assert lengths == sorted(lengths)
+
+    def test_ladder_takes_the_whole_epsilon(self):
+        # searched plus skipped levels are the ladder of ratio 1 - eps
+        rng = np.random.default_rng(21)
+        markets = [
+            pd.random_pareto_market(n, d, seed=n + d, value_range=(0, 60))
+            for n, d in ((200, 1), (300, 2), (120, 3))
+        ] + [float_market(rng, n, d) for n, d in ((300, 1), (400, 2), (150, 3))]
+        for m in markets:
+            for eps in (0.1, 0.25, 0.5, 0.9):
+                _, levels, ladder = pd.solve_approx_detailed(m, eps)
+                ladder_length = len(pd.level_schedule(pd.max_ppu(m), eps, len(m)))
+                assert len(levels) + ladder.levels_skipped == ladder_length
 
     def test_detailed_outcomes_are_consistent(self):
         m = pd.random_pareto_market(20, 2, seed=3)

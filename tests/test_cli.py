@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import os
 import shlex
 import subprocess
@@ -311,9 +310,7 @@ class TestMainExitCodes:
         # projection counts it, fits every level of the solve; one less
         # trips the guard
         market = pd.random_pareto_market(300, 2, seed=4, value_range=(0, 40))
-        ladder = pd.level_schedule(
-            pd.max_ppu(market), 1.0 - math.sqrt(0.1), len(market)
-        )
+        ladder = pd.level_schedule(pd.max_ppu(market), 0.9, len(market))
         sims = [s for s, _ in pd.project_customers(market, ladder[-1])]
         slicer = simplices._GridSlicer(
             simplices._CornerGrid(np.array([s.corner for s in sims])),
@@ -514,7 +511,13 @@ class TestBench:
             prices = q.sum(axis=1) + rng.uniform(1, 5, size=r["n"])
             market = market_mod._prune_arrays(prices, q)
             report, levels, ladder = pd.solve_approx_detailed(market, 0.25)
+            assert set(r) == {
+                "n", "pruned_n", "ms", "ladder_levels", "levels_searched",
+                "levels_skipped", "profit",
+            }
             assert r["pruned_n"] == len(market) <= r["n"]
+            ladder_levels = pd.level_schedule(pd.max_ppu(market), 0.25, len(market))
+            assert r["ladder_levels"] == len(ladder_levels)
             assert r["levels_searched"] == len(levels)
             assert r["levels_skipped"] == ladder.levels_skipped
             assert r["profit"] == report.profit > 0

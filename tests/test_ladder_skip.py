@@ -6,13 +6,12 @@ the report and every searched level's outcome unchanged.
 """
 
 import itertools
-import math
 
 import numpy as np
 
 import productdesign as pd
 from conftest import float_market
-from productdesign import simplices
+from productdesign import approx, simplices
 
 
 def search_every_level(market, epsilon):
@@ -20,9 +19,8 @@ def search_every_level(market, epsilon):
     r = pd.max_ppu(market)
     if r <= 0:
         return pd.NO_PROFITABLE_PRODUCT, []
-    part = 1.0 - math.sqrt(1.0 - epsilon)
-    levels = pd.level_schedule(r, part, len(market))
-    top = int(np.argmax(market.prices - market.qualities.sum(axis=1)))
+    levels = pd.level_schedule(r, epsilon, len(market))
+    top = int(np.argmax(approx._margins(market)))
     best = pd.evaluate(market, pd.lift_point(market.qualities[top], r))
     outcomes = []
     for i, c in enumerate(levels):
@@ -90,9 +88,8 @@ def test_skip_keeps_report_and_searched_outcomes():
                 lv.index for lv in outcomes
             )
             if pd.max_ppu(market) > 0:
-                part = 1.0 - math.sqrt(1.0 - eps)
                 ladder_length = len(
-                    pd.level_schedule(pd.max_ppu(market), part, len(market))
+                    pd.level_schedule(pd.max_ppu(market), eps, len(market))
                 )
                 assert len(outcomes) + ladder.levels_skipped == ladder_length
                 assert outcomes[-1].index == ladder_length - 1

@@ -136,6 +136,37 @@ class TestEvaluate:
             rep = pd.evaluate(m, prod)
             assert rep.profit == rep.ppu * rep.buyers
 
+    def test_matches_a_scan_of_every_customer(self):
+        # few distinct values, signed zeros and shared prices, so products
+        # meet budgets and requirements with equality on every axis
+        rng = np.random.default_rng(21)
+        values = [-0.0, 0.0, 1.0, 2.5, 4.0]
+        for case in range(400):
+            d = 1 + case % 4
+            n = int(rng.integers(1, 40))
+            m = pd.prune_dominated(
+                pd.Customer(
+                    float(rng.choice(values) + rng.choice(values)),
+                    tuple(float(v) for v in rng.choice(values, size=d)),
+                )
+                for _ in range(n)
+            )
+            customers = [m.customer(j) for j in range(len(m))]
+            for _ in range(5):
+                c = customers[int(rng.integers(len(customers)))]
+                prod = pd.Product(
+                    float(rng.choice([c.price, *values])),
+                    tuple(float(rng.choice([v, *values])) for v in c.qualities),
+                )
+                buyers = sum(
+                    c.price >= prod.price
+                    and all(a <= b for a, b in zip(c.qualities, prod.qualities))
+                    for c in customers
+                )
+                rep = pd.evaluate(m, prod)
+                assert rep.buyers == buyers
+                assert rep.profit == pd.ppu(prod) * buyers
+
 
 class TestParetoValidation:
     def test_valid_pair(self):
