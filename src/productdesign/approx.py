@@ -39,9 +39,10 @@ ladder in its usual order, with the lowest level's outcome reused when
 the walk reaches it, every searched level and the winner, ties included,
 are the ones a search of every level gives.
 
-The searched levels share one setup.  The lowest level's customers are
-sorted once by descending margin, so level ``c`` is the prefix of those
-with margin at least ``c``, with sizes ``margin - c``; their corners are
+The searched levels share one setup.  The customers are sorted once by
+descending margin; the first is the top customer, every ``reach(c)`` is
+a binary search, and level ``c`` is the prefix of those with margin at
+least ``c``, with sizes ``margin - c``.  The lowest level's corners are
 sorted once per axis into one grid, and each level slices only its own
 prefix's grid lines, picked out of that grid without another sort.  The
 float operations are the ones a level projected on its own would do, so
@@ -217,18 +218,22 @@ def solve_approx_detailed(
         return NO_PROFITABLE_PRODUCT, [], LadderStats(0, None)
     levels = level_schedule(r, epsilon, len(market))
 
+    # The customers by descending margin, ties in index order: the first
+    # is the top customer, and every level is a prefix of them, on the
+    # lowest level's corner grid.  ``neg`` is their negated margins,
+    # ascending, in which searchsorted counts a level's customers.
+    order = np.argsort(-margins, kind="stable")
+    neg = -margins[order]
+
     # Seed the running best with the top customer's own offer (module
     # notes); later winners must strictly beat it, so ties resolve toward
-    # the lowest level.
-    top = market.customer(int(np.argmax(margins)))
+    # the top customer's own offer, then the highest-margin level.
+    top = market.customer(int(order[0]))
     best = evaluate(market, Product(top.price, top.qualities))
 
-    # The lowest level's customers by descending margin, ties in index
-    # order: every level is a prefix of them, on one corner grid.
-    low = np.flatnonzero(margins >= levels[-1])
-    order = low[np.argsort(-margins[low], kind="stable")]
-    ms = margins[order]
-    grid = _CornerGrid(market.qualities[order])
+    low = order[: int(np.searchsorted(neg, -levels[-1], side="right"))]
+    ms = margins[low]
+    grid = _CornerGrid(market.qualities[low])
 
     # The lowest level's depth caps every level above it (module notes).
     last = len(levels) - 1
@@ -240,9 +245,8 @@ def solve_approx_detailed(
     cap = None
     if last and levels[-2] - levels[-1] > 16 * pad:
         cap = lowest[0].depth
-    reach = len(market) - np.searchsorted(
-        np.sort(margins), np.asarray(levels) - pad
-    )
+    # customers with margin >= c - pad, that is -margin <= pad - c
+    reach = np.searchsorted(neg, pad - np.asarray(levels), side="right")
     bound = np.minimum(reach, len(market) if cap is None else cap).tolist()
 
     outcomes: list[LevelOutcome] = []

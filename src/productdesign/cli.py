@@ -35,7 +35,7 @@ from .market import (
 from .simplices import arrangement_stats, depth_controlled_family
 from .sweep import solve_exact_1d_with_stats
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 # Tolerance of `bench approx`, the one the benchmark's approx workload uses.
 BENCH_EPSILON = 0.25

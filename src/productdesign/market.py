@@ -89,7 +89,17 @@ class Customer(_Priced):
 
 @dataclass(frozen=True)
 class Product(_Priced):
-    """A sellable design: its price and the quality delivered per axis."""
+    """A sellable design: its price and the quality delivered per axis.
+
+    Every zero is stored as ``0.0`` (``v + 0.0`` turns ``-0.0`` into
+    ``0.0`` and leaves any other float as it is), so no solver's report
+    names ``-0.0``, whichever of two equal zeros its search met first.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "price", self.price + 0.0)
+        object.__setattr__(self, "qualities", tuple(v + 0.0 for v in self.qualities))
 
 
 def _axis_sum(terms):
@@ -433,7 +443,9 @@ def brute_force_optimum(market: Market) -> ProfitReport:
     requirement never reduces profit, so some optimum has its price among
     customer prices and each quality among the customers' per-axis
     requirements.  Every such grid product is evaluated; ties are broken
-    toward the lexicographically smallest ``(price, q_1, ..., q_d)``.
+    toward the highest price, then the lexicographically smallest
+    ``(q_1, ..., q_d)``, the product :func:`~productdesign.solve_exact_1d`
+    names.  The winner is reported by :func:`evaluate`.
 
     Intended for desk-scale instances; raises
     :class:`~productdesign.errors.GuardExceededError` when the grid exceeds
@@ -467,20 +479,17 @@ def brute_force_optimum(market: Market) -> ProfitReport:
         axes[k].reshape((1,) * (k + 1) + (-1,) + (1,) * (d - k - 1)) for k in range(d)
     )
     margin = prices.reshape((-1,) + (1,) * d) - cost
-    profit = margin * counts
 
-    flat_best = int(np.argmax(profit))  # first max in C-order == lex-smallest
-    best = float(profit.reshape(-1)[flat_best])
-    if best <= 0.0:
+    # the first maximum in C order with the price axis reversed: the
+    # highest price, then the lexicographically smallest qualities
+    profit = (margin * counts)[::-1]
+    at = np.unravel_index(int(np.argmax(profit)), shape)
+    if profit[at] <= 0.0:
         return NO_PROFITABLE_PRODUCT
-    at = np.unravel_index(flat_best, shape)
-    product = Product(
-        float(prices[at[0]]),
-        tuple(float(axes[k][at[k + 1]]) for k in range(d)),
+    price = float(prices[::-1][at[0]])
+    return evaluate(
+        market, Product(price, tuple(float(axes[k][at[k + 1]]) for k in range(d)))
     )
-    buyers = int(counts[at])
-    m = float(margin[at])
-    return ProfitReport(product, m, buyers, m * buyers)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ its first few pairs.  That test is
 :func:`~productdesign.market._ascending`, which the Pareto check of a
 1-D market shares to skip its own sort.  Only values that compare equal
 can end up in another order than a joint sort would give them, and of
-those only ``-0.0`` and ``0.0`` differ, so the reported price and
-quality are normalized to ``0.0``.  A market built with
+those only ``-0.0`` and ``0.0`` differ, which the reported product does
+not show: a :class:`~productdesign.market.Product` stores every zero as
+``0.0``.  A market built with
 ``validate=False`` must already be Pareto-consistent: on any other
 market the two sorted columns pair prices with other customers'
 qualities.
@@ -215,11 +216,8 @@ def solve_exact_1d_with_stats(market: Market) -> tuple[ProfitReport, SweepStats]
     # rightmost (lowest-quality) maximizing column
     at = np.flatnonzero(row_max == row_max.max())
     at = at[np.argmin(rows[at])]
-    # + 0.0 and 0.0 - turn -0.0 into 0.0: the sorts may order equal
-    # zeros either way
-    best_price = float(p[rows[at]]) + 0.0
-    best_quality = 0.0 - float(negq[row_arg[at]])
-    return evaluate(market, Product(best_price, (best_quality,))), stats
+    product = Product(float(p[rows[at]]), (-float(negq[row_arg[at]]),))
+    return evaluate(market, product), stats
 
 
 def _row_maxima(

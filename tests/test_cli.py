@@ -81,7 +81,7 @@ class TestRun:
             "max_ppu": 2.0,
             "pruned_customers": 0,
         }
-        assert report["schema_version"] == 6
+        assert report["schema_version"] == 7
         assert report["diagnostics"]["events"] == 2
         market, _ = load_market(two_customer_csv)
         _, stats = pd.solve_exact_1d_with_stats(market)
@@ -149,6 +149,41 @@ class TestRun:
             "status": "no_profitable_product",
             "profit": 0.0,
         }
+
+    def test_no_report_shows_a_negative_zero(self, tmp_path):
+        # -0.0 prices and qualities in CSV and JSON; every winner but the
+        # exact solvers' (3, [1]) on a.csv carries a zero, shown as 0.0
+        def customers(dim, *pairs):
+            return json.dumps(
+                {
+                    "dim": dim,
+                    "customers": [{"price": p, "qualities": q} for p, q in pairs],
+                }
+            )
+
+        files = {
+            "a.csv": "price,q1\n2,-0.0\n3,1\n",
+            "b.csv": "price,q1\n-0.0,-1\n",
+            "c.json": customers(1, (2.5, [-0.0]), (-0.0, [-0.0]), (3, [2])),
+            "d.json": customers(
+                2, (3, [-0.0, 1]), (-0.0, [-0.0, -0.0]), (2.5, [1, -0.0])
+            ),
+        }
+        reports = 0
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert "-0.0" in text
+            algorithms = ["bruteforce", "approx"]
+            if load_market(str(path))[0].dim == 1:
+                algorithms.append("exact1d")
+            for algorithm in algorithms:
+                eps = 0.25 if algorithm == "approx" else None
+                report = run(str(path), algorithm, epsilon=eps)
+                assert report["result"]["status"] == "ok"
+                assert "-0.0" not in json.dumps(report), (name, algorithm)
+                reports += 1
+        assert reports == 11
 
     def test_approx_sells_to_a_lone_customer(self, tmp_path):
         path = tmp_path / "m.csv"

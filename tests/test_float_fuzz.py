@@ -1,5 +1,5 @@
 """Differential fuzz of every solver against the exhaustive oracle on
-pruned two-decimal float markets, some customers with negative margins."""
+pruned float markets, some customers with negative margins."""
 
 import builtins
 import math
@@ -19,6 +19,46 @@ def test_exact_1d_equals_oracle():
         assert swept.profit == pd.brute_force_optimum(market).profit, case
         if swept.product is not None:
             assert pd.evaluate(market, swept.product) == swept, case
+
+
+def signed_zero_market(rng, n: int, d: int) -> pd.Market:
+    """Pruned market of prices and qualities drawn from a few values,
+    zeros of both signs among them; many margins are 0 or negative."""
+    q = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size=(n, d))
+    p = rng.choice([-0.0, 0.0, 1.0, 1.5, 2.5, 4.0], size=n)
+    return pd.prune_dominated(
+        pd.Customer(float(x), tuple(map(float, row))) for x, row in zip(p, q)
+    )
+
+
+def uniform_market(rng, n: int, d: int) -> pd.Market:
+    """Pruned market of unrounded uniform floats, some margins negative."""
+    q = rng.uniform(0, 10, size=(n, d))
+    p = q.sum(axis=1) + rng.uniform(-2, 5, size=n)
+    return pd.prune_dominated(
+        pd.Customer(float(x), tuple(map(float, row))) for x, row in zip(p, q)
+    )
+
+
+def test_exact_1d_names_the_oracle_product():
+    """Both exact solvers break ties alike (the highest price, then the
+    lowest quality) and report zeros as 0.0, so their whole reports agree
+    on two-decimal, tie-heavy, signed-zero and uniform float markets."""
+    rng = np.random.default_rng(85)
+    for case in range(3000):
+        n = int(rng.integers(1, 60))
+        kind = case % 4
+        if kind == 2:
+            market = signed_zero_market(rng, n, 1)
+        elif kind == 3:
+            market = uniform_market(rng, n, 1)
+        else:
+            market = float_market(rng, n, 1, ties=kind == 1)
+        swept = repr(pd.solve_exact_1d(market))
+        assert swept == repr(pd.brute_force_optimum(market)), case
+        assert "-0.0" not in swept, case
+        if kind == 2:
+            assert "-0.0" not in repr(pd.solve_approx(market, 0.25)), case
 
 
 def test_approx_keeps_its_ratio():

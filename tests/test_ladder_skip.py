@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 import productdesign as pd
-from conftest import float_market
+from conftest import float_market, market_of
 from productdesign import approx, simplices
 
 
@@ -20,8 +20,10 @@ def search_every_level(market, epsilon):
     if r <= 0:
         return pd.NO_PROFITABLE_PRODUCT, []
     levels = pd.level_schedule(r, epsilon, len(market))
-    top = int(np.argmax(approx._margins(market)))
-    best = pd.evaluate(market, pd.lift_point(market.qualities[top], r))
+    # the top customer's own offer: its margin is r under the one cost
+    # rule, and that customer buys it, so best.profit > 0 from here on
+    top = market.customer(int(np.argmax(approx._margins(market))))
+    best = pd.evaluate(market, pd.Product(top.price, top.qualities))
     outcomes = []
     for i, c in enumerate(levels):
         projected = pd.project_customers(market, c)
@@ -41,8 +43,6 @@ def search_every_level(market, epsilon):
         )
         if report.profit > best.profit:
             best = report
-    if best.profit <= 0:
-        return pd.NO_PROFITABLE_PRODUCT, outcomes
     return best, outcomes
 
 
@@ -74,19 +74,37 @@ def fuzz_markets():
             yield float_market(rng, n, d, ties=kind == 2)
 
 
+def rounding_prone_markets():
+    """Single two-decimal customers with a price in [3, 4) and qualities
+    summing below 2, d = 2 and 3: the margin often shares the price's
+    binade, where lifting the corner by it can round the price up."""
+    yield market_of((3.93, [0.18, 1.27]))
+    yield market_of((2.69, [0.0, 0.13, 0.44]))
+    rng = np.random.default_rng(68)
+    for case in range(80):
+        d = 2 + case % 2
+        q = np.round(rng.uniform(0, 2 / d, size=d), 2)
+        yield market_of((round(float(rng.uniform(3, 4)), 2), q.tolist()))
+
+
+def check_skip(market, epsilon):
+    """Assert that the solve's report and searched levels are those of a
+    search of every level; returns the solve's outcomes and ladder stats."""
+    report, outcomes, ladder = pd.solve_approx_detailed(market, epsilon)
+    ref_report, ref_outcomes = search_every_level(market, epsilon)
+    assert repr(report) == repr(ref_report)
+    by_index = {lv.index: lv for lv in ref_outcomes}
+    for lv in outcomes:
+        assert lv == by_index[lv.index]
+    assert [lv.index for lv in outcomes] == sorted(lv.index for lv in outcomes)
+    return outcomes, ladder
+
+
 def test_skip_keeps_report_and_searched_outcomes():
     pairs = searched = skipped = uncapped = 0
     for market in fuzz_markets():
         for eps in (0.1, 0.25, 0.5):
-            report, outcomes, ladder = pd.solve_approx_detailed(market, eps)
-            ref_report, ref_outcomes = search_every_level(market, eps)
-            assert repr(report) == repr(ref_report)
-            by_index = {lv.index: lv for lv in ref_outcomes}
-            for lv in outcomes:
-                assert lv == by_index[lv.index]
-            assert [lv.index for lv in outcomes] == sorted(
-                lv.index for lv in outcomes
-            )
+            outcomes, ladder = check_skip(market, eps)
             if pd.max_ppu(market) > 0:
                 ladder_length = len(
                     pd.level_schedule(pd.max_ppu(market), eps, len(market))
@@ -105,6 +123,18 @@ def test_skip_keeps_report_and_searched_outcomes():
     # this mix, or the test shows nothing
     assert skipped > searched
     assert uncapped > 0
+
+
+def test_oracle_seeds_with_the_top_customers_offer():
+    # where the top customer's corner lifted by their margin is priced
+    # above their budget, only their own offer earns anything
+    rounded = 0
+    for market in rounding_prone_markets():
+        top = market.customer(0)
+        rounded += pd.lift_point(top.qualities, pd.ppu(top)).price > top.price
+        for eps in (0.1, 0.25, 0.5):
+            check_skip(market, eps)
+    assert rounded >= 2
 
 
 def test_deep_market_searches_few_levels():

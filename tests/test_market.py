@@ -36,6 +36,13 @@ class TestDomainTypes:
             pd.Product(float("-inf"), (0.0,))
         assert pd.Product(2, (1,)).qualities == (1.0,)
 
+    def test_product_stores_zeros_as_positive_zero(self):
+        p = pd.Product(-0.0, (-0.0, 0.0, -1.5))
+        assert repr(p) == "Product(price=0.0, qualities=(0.0, 0.0, -1.5))"
+        # a customer keeps its values, signs included
+        c = pd.Customer(-0.0, (-0.0, 0.0))
+        assert repr(c) == "Customer(price=-0.0, qualities=(-0.0, 0.0))"
+
     def test_customer_and_product_keep_their_own_identity(self):
         c, p = pd.Customer(2, (1,)), pd.Product(2, (1,))
         assert repr(c) == "Customer(price=2.0, qualities=(1.0,))"
@@ -385,12 +392,19 @@ class TestBruteForceOptimum:
         rep = pd.brute_force_optimum(market_of((2, [1])))
         assert rep.profit == 1.0 and rep.product == pd.Product(2, (1,))
 
-    def test_tie_breaks_to_lexicographically_smallest(self):
-        # profit 2.0 is reached by (2,[0]), (2,[1]) and (3,[1]); lex order
-        # picks (2,[0]).
-        rep = pd.brute_force_optimum(market_of((3, [1]), (2, [0])))
+    def test_tie_breaks_to_highest_price_then_smallest_qualities(self):
+        # profit 2.0 is reached by (2,[0]), (2,[1]) and (3,[1]); the
+        # highest price picks (3,[1]), as solve_exact_1d does.
+        market = market_of((3, [1]), (2, [0]))
+        rep = pd.brute_force_optimum(market)
         assert rep.profit == 2.0
-        assert rep.product == pd.Product(2, (0,))
+        assert rep.product == pd.Product(3, (1,))
+        assert repr(rep) == repr(pd.solve_exact_1d(market))
+        # at the one price, (5,[1,2]), (5,[2,1]) and (5,[2,2]) all earn 2.0;
+        # the lexicographically smallest qualities win
+        rep = pd.brute_force_optimum(market_of((5, [1, 2]), (5, [2, 1])))
+        assert rep.profit == 2.0
+        assert rep.product == pd.Product(5, (1, 2))
 
     def test_duplicate_value_instance(self):
         rep = pd.brute_force_optimum(
