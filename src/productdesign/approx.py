@@ -246,7 +246,7 @@ def solve_approx_detailed(
         cap = lowest[0].depth
     # customers with margin >= c - pad, that is -margin <= pad - c
     reach = np.searchsorted(neg, pad - np.asarray(levels), side="right")
-    bound = np.minimum(reach, len(market) if cap is None else cap).tolist()
+    bound = (reach if cap is None else np.minimum(reach, cap)).tolist()
 
     outcomes: list[LevelOutcome] = []
     skipped = 0

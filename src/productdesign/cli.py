@@ -46,9 +46,11 @@ _BENCH_REPEATS = 5
 def load_market(path: str, prune: bool = False) -> tuple[Market, int]:
     """Read a market file; returns (market, number of pruned customers)."""
     p = Path(path)
-    if not p.exists():
-        raise MarketFormatError(f"no such file: {path}")
-    text = p.read_text()
+    try:
+        # utf-8-sig also accepts a leading byte-order mark
+        text = p.read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise MarketFormatError(f"no such file: {path}") from None
     suffix = p.suffix.lower()
     if suffix == ".json" or (suffix != ".csv" and text.lstrip().startswith("{")):
         prices, qualities = _json_arrays(text)
@@ -151,10 +153,10 @@ def run(
     }
 
 
-def _emit(payload: dict, output: str | None):
+def _emit(payload: dict, output: str | None = None):
     text = json.dumps(payload, sort_keys=True, indent=2)
     if output:
-        Path(output).write_text(text + "\n")
+        Path(output).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
 
@@ -178,7 +180,9 @@ def _cmd_gen(args) -> int:
         market = element_uniqueness_instance(values)
     text = market_to_json(market) if args.format == "json" else market_to_csv(market)
     if args.output:
-        Path(args.output).write_text(text if text.endswith("\n") else text + "\n")
+        Path(args.output).write_text(
+            text if text.endswith("\n") else text + "\n", encoding="utf-8"
+        )
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     return 0
@@ -206,8 +210,8 @@ def _time_ratios(rows: list[dict]) -> list[float | None]:
 def _bench_sweep(args) -> int:
     rows = []
     for n in (int(s) for s in args.sizes.split(",")):
-        # the distribution criterion 8 times: nearly every quality distinct
-        market = random_pareto_market(n, 1, seed=args.seed, value_range=(0, 20 * n))
+        # criterion 8's market and seed: nearly every quality distinct
+        market = random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
         (report, stats), ms = _timed(lambda: solve_exact_1d_with_stats(market))
         rows.append(
             {
@@ -218,8 +222,7 @@ def _bench_sweep(args) -> int:
                 "rows_pruned": stats.rows_pruned,
             }
         )
-    payload = {"bench": "sweep", "runs": rows, "time_ratios": _time_ratios(rows)}
-    _emit(payload, args.output)
+    _emit({"bench": "sweep", "runs": rows, "time_ratios": _time_ratios(rows)})
     return 0
 
 
@@ -228,7 +231,7 @@ def _bench_approx(args) -> int:
     for n in (int(s) for s in args.sizes.split(",")):
         # the float regime: every corner value distinct, so each level's
         # grid has about as many lines per axis as the level has customers
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(0)
         q = rng.uniform(0, 100, size=(n, args.d))
         market = _prune_arrays(q.sum(axis=1) + rng.uniform(1, 5, size=n), q)
         (report, levels, ladder), ms = _timed(
@@ -252,8 +255,7 @@ def _bench_approx(args) -> int:
             "epsilon": BENCH_EPSILON,
             "runs": rows,
             "time_ratios": _time_ratios(rows),
-        },
-        args.output,
+        }
     )
     return 0
 
@@ -264,7 +266,7 @@ def _bench_arrangement(args) -> int:
     rows = []
     for n in sizes:
         for k in depths:
-            family = depth_controlled_family(n, k, seed=args.seed)
+            family = depth_controlled_family(n, k, seed=0)
             stats, ms = _timed(lambda: arrangement_stats(family))
             rows.append(
                 {
@@ -277,7 +279,7 @@ def _bench_arrangement(args) -> int:
                     "vertices_per_nk": round(stats.vertex_count / (n * k), 4),
                 }
             )
-    _emit({"bench": "arrangement", "runs": rows}, args.output)
+    _emit({"bench": "arrangement", "runs": rows})
     return 0
 
 
@@ -315,25 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="target", required=True)
     bsweep = bench_sub.add_parser("sweep", help="sweep-solver scaling measurement")
     bsweep.add_argument("--sizes", default="250000,500000,1000000")
-    # criterion 8's seed
-    bsweep.add_argument("--seed", type=int, default=8)
-    bsweep.add_argument("--output", default=None)
     bsweep.set_defaults(func=_bench_sweep)
     bapprox = bench_sub.add_parser(
         "approx", help="approximation timing on pruned float markets"
     )
     bapprox.add_argument("--sizes", default="2500,5000,10000")
     bapprox.add_argument("--d", type=int, default=2)
-    bapprox.add_argument("--seed", type=int, default=0)
-    bapprox.add_argument("--output", default=None)
     bapprox.set_defaults(func=_bench_approx)
     barr = bench_sub.add_parser(
         "arrangement", help="arrangement vertex-count ratio logging"
     )
     barr.add_argument("--sizes", default="100,400,1600")
     barr.add_argument("--depths", default="2,4,8")
-    barr.add_argument("--seed", type=int, default=0)
-    barr.add_argument("--output", default=None)
     barr.set_defaults(func=_bench_arrangement)
 
     return parser

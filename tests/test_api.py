@@ -171,3 +171,38 @@ def test_solve_command_options():
         "epsilon",
         "prune",
     ]
+
+
+def _subcommand(parser: argparse.ArgumentParser, name: str):
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return commands.choices[name]
+
+
+def test_gen_and_bench_command_options():
+    parser = build_parser()
+    gen = _subcommand(parser, "gen")
+    assert [a.option_strings for a in gen._actions] == [
+        ["-h", "--help"],
+        ["--kind"],
+        ["--n"],
+        ["--d"],
+        ["--seed"],
+        ["--low"],
+        ["--high"],
+        ["--values"],
+        ["--format"],
+        ["--output"],
+    ]
+    # each bench builds its gate's market at its gate's seed and prints
+    # the JSON to stdout
+    bench = _subcommand(parser, "bench")
+    want = {
+        "sweep": [["--sizes"]],
+        "approx": [["--sizes"], ["--d"]],
+        "arrangement": [["--sizes"], ["--depths"]],
+    }
+    for name, rest in want.items():
+        got = [a.option_strings for a in _subcommand(bench, name)._actions]
+        assert got == [["-h", "--help"]] + rest, name

@@ -220,3 +220,30 @@ def test_serializers_match_the_per_customer_form():
     for market in markets:
         assert pd.market_to_json(market) == _json_per_customer(market)
         assert pd.market_to_csv(market) == _csv_per_customer(market)
+
+
+@pytest.mark.parametrize(
+    ("name", "serialize"),
+    [
+        ("market.csv", pd.market_to_csv),
+        ("market.json", pd.market_to_json),
+        ("market", pd.market_to_json),  # no suffix: JSON by its first "{"
+    ],
+)
+def test_byte_order_mark_is_accepted(tmp_path, name, serialize):
+    # Excel's "CSV UTF-8" and Windows PowerShell 5 start files with a BOM
+    rng = np.random.default_rng(5)
+    market = float_market(rng, 60, 2)
+    text = serialize(market)
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    (plain / name).write_bytes(text.encode("utf-8"))
+    (marked / name).write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_market(str(plain / name))[0] == market
+    for prune in (False, True):
+        want, want_pruned = load_market(str(plain / name), prune)
+        got, got_pruned = load_market(str(marked / name), prune)
+        assert got_pruned == want_pruned
+        assert got.prices.tobytes() == want.prices.tobytes()
+        assert got.qualities.tobytes() == want.qualities.tobytes()
