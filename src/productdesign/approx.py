@@ -121,8 +121,8 @@ def _margins(market: Market) -> np.ndarray:
 
 
 def max_ppu(market: Market) -> float:
-    """Largest profit per unit any single customer allows."""
-    return float(np.max(_margins(market)))
+    """Largest profit per unit any single customer allows; a zero is ``0.0``."""
+    return float(np.max(_margins(market))) + 0.0
 
 
 def level_schedule(r: float, epsilon: float, n: int) -> tuple[float, ...]:

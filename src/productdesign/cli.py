@@ -227,6 +227,8 @@ def _bench_sweep(args) -> int:
 
 
 def _bench_approx(args) -> int:
+    if args.d < 1:
+        raise ValueError("d must be positive")
     rows = []
     for n in (int(s) for s in args.sizes.split(",")):
         # the float regime: every corner value distinct, so each level's

@@ -452,44 +452,40 @@ def brute_force_optimum(market: Market) -> ProfitReport:
     the module constant ``BRUTE_FORCE_GUARD`` (read at each call) in cells.
     """
     d = market.dim
-    prices = np.unique(market.prices)
-    axes = [np.unique(market.qualities[:, k]) for k in range(d)]
-    shape = (prices.size, *(a.size for a in axes))
+    # The grid's axes: negated prices (so prices run highest first), then
+    # each quality, all ascending; ``cell`` is each customer's index on each.
+    columns = (-market.prices, *market.qualities.T)
+    axes, cell = zip(*(np.unique(v, return_inverse=True) for v in columns))
+    shape = tuple(a.size for a in axes)
     cells = math.prod(shape)
     if cells > BRUTE_FORCE_GUARD:
         raise GuardExceededError(
             f"candidate grid has {cells} cells, above the {BRUTE_FORCE_GUARD} guard"
         )
 
-    # Histogram customers on the grid, then turn it into buyer counts:
-    # a grid product is bought by everyone with price >= its price (suffix
-    # along axis 0) and requirements <= its qualities (prefix per axis).
-    hist = np.zeros(shape, dtype=np.int64)
-    idx = (np.searchsorted(prices, market.prices),) + tuple(
-        np.searchsorted(axes[k], market.qualities[:, k]) for k in range(d)
-    )
-    np.add.at(hist, idx, 1)
-    counts = hist[::-1].cumsum(axis=0)[::-1]
-    for k in range(d):
-        counts = counts.cumsum(axis=k + 1)
+    # Histogram customers on the grid, then sum it along every axis in
+    # place: a grid product is bought by everyone with price >= its price
+    # and requirements <= its qualities, a prefix on each axis.
+    counts = np.bincount(np.ravel_multi_index(cell, shape), minlength=cells)
+    counts = counts.reshape(shape)
+    for k in range(d + 1):
+        np.cumsum(counts, axis=k, out=counts)
 
     # Each cell's cost follows ppu's rule, so its margin is bit-equal to
-    # what evaluate reports for it.
+    # what evaluate reports for it; the margins become profits in place.
     cost = _axis_sum(
-        axes[k].reshape((1,) * (k + 1) + (-1,) + (1,) * (d - k - 1)) for k in range(d)
+        a.reshape((1,) * k + (-1,) + (1,) * (d - k)) for k, a in enumerate(axes[1:], 1)
     )
-    margin = prices.reshape((-1,) + (1,) * d) - cost
+    profit = -axes[0].reshape((-1,) + (1,) * d) - cost
+    profit *= counts
 
-    # the first maximum in C order with the price axis reversed: the
-    # highest price, then the lexicographically smallest qualities
-    profit = (margin * counts)[::-1]
+    # the first maximum in C order: the highest price, then the
+    # lexicographically smallest qualities
     at = np.unravel_index(int(np.argmax(profit)), shape)
     if profit[at] <= 0.0:
         return NO_PROFITABLE_PRODUCT
-    price = float(prices[::-1][at[0]])
-    return evaluate(
-        market, Product(price, tuple(float(axes[k][at[k + 1]]) for k in range(d)))
-    )
+    price, *qualities = (float(a[i]) for a, i in zip(axes, at))
+    return evaluate(market, Product(-price, tuple(qualities)))
 
 
 # ---------------------------------------------------------------------------

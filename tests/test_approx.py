@@ -19,6 +19,11 @@ class TestMaxPpu:
     def test_negative_margin(self):
         assert pd.max_ppu(market_of((1, [2]))) == -1.0
 
+    def test_zero_margin_is_positive_zero(self):
+        # -0.0 less a cost of 0.0 is -0.0
+        for pairs in ([(-0.0, [-0.0])], [(-0.0, [0.0, -0.0])]):
+            assert math.copysign(1.0, pd.max_ppu(market_of(*pairs))) == 1.0
+
 
 class TestLevelSchedule:
     def test_halving_example(self):

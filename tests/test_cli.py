@@ -185,6 +185,38 @@ class TestRun:
                 reports += 1
         assert reports == 11
 
+    def test_no_profit_report_shows_no_negative_zero(self, tmp_path):
+        # each market's best margin is -0.0, which max_ppu reports as 0.0
+        def customers(dim, *pairs):
+            return json.dumps(
+                {
+                    "dim": dim,
+                    "customers": [{"price": p, "qualities": q} for p, q in pairs],
+                }
+            )
+
+        files = {
+            "a.csv": "price,q1\n-0.0,-0.0\n",
+            "b.csv": "price,q1,q2\n-0.0,0.0,-0.0\n-1,-2,2\n",
+            "c.json": customers(1, (-0.0, [-0.0]), (-1, [-0.0])),
+            "d.json": customers(2, (-0.0, [-0.0, 0.0]), (2, [3, -0.0])),
+        }
+        reports = 0
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            algorithms = ["bruteforce", "approx"]
+            if load_market(str(path))[0].dim == 1:
+                algorithms.append("exact1d")
+            for algorithm in algorithms:
+                eps = 0.25 if algorithm == "approx" else None
+                report = run(str(path), algorithm, epsilon=eps)
+                assert report["result"]["status"] == "no_profitable_product"
+                assert report["market"]["max_ppu"] == 0.0
+                assert "-0.0" not in json.dumps(report), (name, algorithm)
+                reports += 1
+        assert reports == 10
+
     def test_approx_sells_to_a_lone_customer(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("price,q1\n3.57,1.16\n")
@@ -577,6 +609,11 @@ class TestBench:
             assert r["levels_searched"] == len(levels)
             assert r["levels_skipped"] == ladder.levels_skipped
             assert r["profit"] == report.profit > 0
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_approx_bench_rejects_a_nonpositive_d(self, d, capsys):
+        assert main(["bench", "approx", "--sizes", "10", "--d", d]) == 2
+        assert "error: d must be positive" in capsys.readouterr().err
 
 
 class TestReadme:

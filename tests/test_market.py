@@ -369,10 +369,12 @@ class TestPrune:
 
 
 def _naive_grid_optimum(market: pd.Market) -> pd.ProfitReport:
-    """Independent oracle: evaluate every grid product one by one."""
+    """Independent oracle: evaluate every grid product one by one, highest
+    price first and qualities in lexicographic order, keeping the first
+    strict maximum, so ties go to the product the tie rule names."""
     import itertools
 
-    prices = sorted(set(market.prices.tolist()))
+    prices = sorted(set(market.prices.tolist()), reverse=True)
     axes = [
         sorted(set(market.qualities[:, k].tolist())) for k in range(market.dim)
     ]
@@ -413,16 +415,22 @@ class TestBruteForceOptimum:
         assert rep.profit == 1.0 and rep.product == pd.Product(5.5, (5,))
 
     def test_matches_naive_reference(self):
+        # whole reports, on generated markets with many ties and on pruned
+        # integer markets with negative margins and signed zeros
         rng = np.random.default_rng(21)
-        for _ in range(25):
-            d = int(rng.integers(1, 3))
-            n = int(rng.integers(1, 10))
-            m = pd.random_pareto_market(n, d, seed=int(rng.integers(10**6)), value_range=(0, 6))
-            got = pd.brute_force_optimum(m)
-            want = _naive_grid_optimum(m)
-            assert got.profit == want.profit
-            if got.product is not None:
-                assert got.buyers == pd.evaluate(m, got.product).buyers
+        for i in range(90):
+            d = 1 + i % 3
+            n = int(rng.integers(1, 15 - 3 * d))
+            if i % 2:
+                seed = int(rng.integers(10**6))
+                m = pd.random_pareto_market(n, d, seed=seed, value_range=(0, 6))
+            else:
+                q = rng.integers(-2, 4, size=(n, d)).astype(float)
+                q[rng.random((n, d)) < 0.25] = -0.0
+                p = q.sum(axis=1) + rng.integers(-3, 4, size=n)
+                p[rng.random(n) < 0.2] = -0.0
+                m = market_mod._prune_arrays(p, q)
+            assert repr(pd.brute_force_optimum(m)) == repr(_naive_grid_optimum(m))
 
     def test_no_profit_marker(self):
         m = market_of((5, [5]), (3, [3]))  # both margins are zero
@@ -447,6 +455,22 @@ class TestBruteForceOptimum:
         )
         with pytest.raises(pd.GuardExceededError, match="18446744073709551616 cells"):
             pd.brute_force_optimum(m)
+
+    @pytest.mark.parametrize(("n", "d"), [(100, 2), (40, 3)])
+    def test_grid_memory(self, n, d):
+        # every coordinate distinct: n**(d + 1) cells, each held once as
+        # int64 buyers and once as float64 profit
+        m = pd.random_pareto_market(n, d, seed=3, value_range=(0, 10**6))
+        cells = math.prod(np.unique(v).size for v in (m.prices, *m.qualities.T))
+        assert cells == n ** (d + 1)
+        tracemalloc.start()
+        try:
+            rep = pd.brute_force_optimum(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.profit > 0
+        assert peak <= 17 * cells
 
     def test_grid_candidates_never_beat_optimum(self):
         import itertools
