@@ -154,7 +154,8 @@ def run(
 
 
 def _emit(payload: dict, output: str | None = None):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    # a non-finite float would print as Infinity or NaN, which is not JSON
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     if output:
         Path(output).write_text(text + "\n", encoding="utf-8")
     else:

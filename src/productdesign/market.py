@@ -115,6 +115,27 @@ def ppu(item: Customer | Product) -> float:
     return item.price - _axis_sum(item.qualities)
 
 
+def _check_magnitudes(prices: np.ndarray, qualities: np.ndarray):
+    """Raise :class:`ValueError` unless every value is finite and
+    ``n * (max |price| + sum_k max |q_k|)`` is a finite float.
+
+    That product bounds every cost, margin, cap and profit a solver forms:
+    float addition and multiplication round monotonically, so no cost
+    exceeds the sum of the largest requirements, no margin that sum plus
+    the largest price, and no profit ``n`` times that.  Each column's
+    maximum and minimum are the only passes over its values; a column
+    holding a NaN has both NaN, so its top is NaN.
+    """
+    tops = [float(max(c.max(), -c.min())) for c in (prices, *qualities.T)]
+    if not all(map(math.isfinite, tops)):
+        raise ValueError("prices and qualities must be finite")
+    if not math.isfinite(prices.size * (tops[0] + _axis_sum(tops[1:]))):
+        raise ValueError(
+            f"prices and qualities too large: {prices.size} x (max |price| + "
+            f"sum of max |quality|) overflows a float, and so could a profit"
+        )
+
+
 @dataclass(frozen=True)
 class ProfitReport:
     """Outcome of offering a product: margin, buyer count, and total profit.
@@ -158,7 +179,9 @@ class Market:
     Storage is column oriented (a price vector and an ``(n, d)`` quality
     matrix) so million-customer instances stay cheap; iterating the market
     materializes :class:`Customer` objects on demand.  The arrays exposed
-    by :attr:`prices` / :attr:`qualities` are read-only views.
+    by :attr:`prices` / :attr:`qualities` are read-only views.  Every
+    constructor refuses a market whose arithmetic could overflow (see
+    :func:`_check_magnitudes`).
     """
 
     __slots__ = ("_prices", "_qualities")
@@ -193,12 +216,11 @@ class Market:
             raise DimensionMismatchError(
                 f"qualities shape {q.shape} does not match {p.size} prices"
             )
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
-            raise ValueError("prices and qualities must be finite")
         m._init_arrays(p, q, validate)
         return m
 
     def _init_arrays(self, prices: np.ndarray, qualities: np.ndarray, validate: bool):
+        _check_magnitudes(prices, qualities)
         prices.setflags(write=False)
         qualities.setflags(write=False)
         self._prices = prices
@@ -369,12 +391,11 @@ def _dominated_2d(prices: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndar
     """
     n = prices.shape[0]
     order = np.lexsort((q1, prices))
-    r1 = np.unique(q1[order], return_inverse=True)[1]
     r2 = np.unique(q2[order], return_inverse=True)[1] + 1  # 0 marks a query
     pos = np.arange(n)
     # processing rank: descending q1, later positions (the right half) first
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((-pos, -r1))] = pos
+    rank[np.argsort(q1[order], kind="stable")[::-1]] = pos
     dominated = np.zeros(n, dtype=bool)
     half = 1
     while half < n:
@@ -471,12 +492,18 @@ def brute_force_optimum(market: Market) -> ProfitReport:
     for k in range(d + 1):
         np.cumsum(counts, axis=k, out=counts)
 
-    # Each cell's cost follows ppu's rule, so its margin is bit-equal to
-    # what evaluate reports for it; the margins become profits in place.
-    cost = _axis_sum(
-        a.reshape((1,) * k + (-1,) + (1,) * (d - k)) for k, a in enumerate(axes[1:], 1)
-    )
-    profit = -axes[0].reshape((-1,) + (1,) * d) - cost
+    # Each cell's cost follows ppu's rule, ((0.0 + q_1) + q_2) + ..., so
+    # its margin is bit-equal to what evaluate reports for it.  The costs
+    # are summed in the profit grid's first row, which takes its own
+    # margin last; the margins then become profits in place.
+    profit = np.empty(shape)
+    cost = profit[0]
+    cost.fill(0.0)
+    for k, a in enumerate(axes[1:]):
+        cost += a.reshape((-1,) + (1,) * (d - 1 - k))
+    prices = -axes[0].reshape((-1,) + (1,) * d)
+    np.subtract(prices[1:], cost, out=profit[1:])
+    np.subtract(prices[0], cost, out=cost)
     profit *= counts
 
     # the first maximum in C order: the highest price, then the

@@ -163,8 +163,9 @@ class SimplexArray(Sequence[SimplexHomothet]):
 
 def _rounding_pad(scale: float, d: int) -> float:
     """Bound on the rounding of a sum of ``d + 2`` terms no larger in
-    magnitude than ``scale`` (a few spacings per term)."""
-    return 4 * (d + 2) * float(np.spacing(scale))
+    magnitude than ``scale`` (a few spacings per term).  ``math.ulp`` is
+    ``np.spacing`` without its overflow at the largest float."""
+    return 4 * (d + 2) * math.ulp(scale)
 
 
 def _as_arrays(simplices: SimplexArray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,13 @@ strictly less than another yet demands strictly more, so along that order
 the qualities never increase either: the event prices are the price
 column sorted in decreasing order, and the event qualities are the
 quality column sorted the same way, each on its own, so two plain sorts
-build the events.  A column already stored in ascending order (as
-:func:`~productdesign.market.random_pareto_market` and most sorted
-inputs store it) is not sorted: one O(n) comparison finds that, and the
-column is read in reverse; a shuffled column fails the comparison within
-its first few pairs.  That test is
+build the events.  Both columns are kept in ascending order, event
+``j`` being entry ``n - 1 - j`` of each (the search reads the prices
+through a reversed view).  A column already stored in ascending order
+(as :func:`~productdesign.market.random_pareto_market` and most sorted
+inputs store it) is not sorted or copied: one O(n) comparison finds
+that, and the column is read in place; a shuffled column fails the
+comparison within its first few pairs and is sorted once.  That test is
 :func:`~productdesign.market._ascending`, which the Pareto check of a
 1-D market shares to skip its own sort.  Only values that compare equal
 can end up in another order than a joint sort would give them, and of
@@ -183,24 +185,18 @@ def solve_exact_1d_with_stats(market: Market) -> tuple[ProfitReport, SweepStats]
         raise DimensionMismatchError("the sweep solver handles dim=1 markets only")
     n = len(market)
 
-    # the event order, column by column (see the module docstring); a
-    # column stored ascending is only reversed.  The search gathers the
-    # negated qualities entry by entry and looks up the bands in them, so
-    # they form one contiguous ascending array, while p is only read a
-    # few rows at a time and may stay a reversed view
-    p = market.prices
+    # the event order, column by column (see the module docstring): each
+    # column ascending, read in place when stored so; the prices are
+    # searched in event order through a reversed view
+    p, q = market.prices, market.qualities[:, 0]
     if not _ascending(p):
         p = np.sort(p)
+    if not _ascending(q):
+        q = np.sort(q)
     p = p[::-1]
-    q = market.qualities[:, 0]
-    if _ascending(q):
-        negq = -q[::-1]
-    else:
-        negq = -q
-        negq.sort()
 
-    rows, row_max, row_arg, entries = _row_maxima(p, negq)
-    repeats = int(np.count_nonzero(negq[1:] == negq[:-1]))
+    rows, row_max, row_arg, entries = _row_maxima(p, q)
+    repeats = int(np.count_nonzero(q[1:] == q[:-1]))
     stats = SweepStats(
         events=n,
         appended=n - repeats,
@@ -216,23 +212,23 @@ def solve_exact_1d_with_stats(market: Market) -> tuple[ProfitReport, SweepStats]
     # rightmost (lowest-quality) maximizing column
     at = np.flatnonzero(row_max == row_max.max())
     at = at[np.argmin(rows[at])]
-    product = Product(float(p[rows[at]]), (-float(negq[row_arg[at]]),))
+    product = Product(float(p[rows[at]]), (float(q[n - 1 - row_arg[at]]),))
     return evaluate(market, product), stats
 
 
 def _row_maxima(
-    p: np.ndarray, negq: np.ndarray
+    p: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Maximum and rightmost maximizing column of the searched rows of
-    ``M[t][j] = (p[t] + negq[j]) * (t - j + 1)`` over ``j <= t``.
+    ``M[t][j] = (p[t] - q[n - 1 - j]) * (t - j + 1)`` over ``j <= t``.
 
-    ``p`` holds the event prices and ``negq`` the negated event
-    qualities, so ``p[t] + negq[j]`` is the margin ``p_t - q_j`` to the
-    last bit; ``negq`` is ascending, and as it is gathered entry by entry
-    and searched for each row's band, it should be contiguous.  Each pass
-    scans the middle row of every pending block of rows over its
-    positive-margin band within that block's column range ``lo_col..hi_col``
-    (cut at the row itself), at most ``_ENTRY_BUDGET`` entries at a time;
+    ``p`` holds the event prices, descending, and ``q`` the event
+    qualities in ascending order, so event ``j``'s quality is
+    ``q[n - 1 - j]``; as ``q`` is gathered entry by entry and searched for
+    each row's band, it should be contiguous.  Each pass scans the middle
+    row of every pending block of rows over its positive-margin band
+    within that block's column range ``lo_col..hi_col`` (cut at the row
+    itself), at most ``_ENTRY_BUDGET`` entries at a time;
     its argmax, or for an empty band the band's first column, bounds the
     ranges of the rows above and below.  Before the next pass a block
     with no band is dropped, and so is a block whose every piece bound
@@ -258,7 +254,7 @@ def _row_maxima(
         mid = (lo + hi) >> 1
         # a row's band starts at the first column whose quality is below
         # its price; an empty band leaves the split at that column
-        split = negq.searchsorted(-p[mid], "right")
+        split = n - q.searchsorted(p[mid], "left")
         np.maximum(split, lo_col, out=split)
         lengths = np.minimum(hi_col, mid) - split + 1
         scanned = lengths > 0
@@ -280,7 +276,7 @@ def _row_maxima(
             col = (first[b0:b1] - starts[b0:b1]).repeat(size)
             col += np.arange(w0, w1)
             values = p[rows[b0:b1]].repeat(size)
-            values += negq.take(col)
+            values -= q.take(n - 1 - col)
             count = (rows[b0:b1] + 1).repeat(size)
             count -= col
             values *= count
@@ -307,7 +303,7 @@ def _row_maxima(
         # cut each block with a band into a k x k grid of pieces (see the
         # module docstring), keep the blocks with a piece bound >= best and
         # trim their rows to such pieces; their columns stay whole
-        low = negq.searchsorted(-p[lo], "right")
+        low = n - q.searchsorted(p[lo], "left")
         np.maximum(low, lo_col, out=low)
         top = np.minimum(hi_col, hi)
         band = low <= top
@@ -320,7 +316,8 @@ def _row_maxima(
         ra, rb = row_cut[:, :-1], row_cut[:, 1:] - 1
         ca, cb = col_cut[:, None, :-1], col_cut[:, None, 1:] - 1
         last = np.minimum(cb, rb[:, :, None])
-        bound = p[ra][:, :, None] + negq[last]
+        # an empty piece may have last = -1; its clipped quality is unused
+        bound = p[ra][:, :, None] - q.take(n - 1 - last, mode="clip")
         bound *= rb[:, :, None] + 1 - ca
         reach = ((ca <= last) & (bound >= best)).any(axis=2)
         # more pieces than rows leaves some row pieces empty

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +311,69 @@ class TestMainExitCodes:
         path.write_text("price,q1\n2,5\n3,1\n")
         code = main(["solve", "--input", str(path), "--algorithm", "exact1d"])
         assert code == 2
+
+    @staticmethod
+    def solve_args(path, algorithm):
+        eps = ["--epsilon", "0.25"] if algorithm == "approx" else []
+        return ["solve", "--input", str(path), "--algorithm", algorithm, *eps]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["price,q1\n1e308,-1e308\n", "price,q1\n1e308,0\n1e308,1\n"],
+        ids=["one-customer", "two-customers"],
+    )
+    def test_overflowing_market_is_2_under_every_algorithm(
+        self, tmp_path, capsys, text
+    ):
+        # finite inputs whose n x (max |price| + sum of max |quality|)
+        # overflows: a profit could print as Infinity, which is not JSON
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        for algorithm in cli.ALGORITHMS:
+            for prune in ([], ["--prune"]):
+                code = main(self.solve_args(path, algorithm) + prune)
+                captured = capsys.readouterr()
+                assert code == 2, algorithm
+                assert captured.out == ""
+                assert captured.err.startswith("error: prices and qualities too large")
+                assert "overflows a float" in captured.err
+
+    def test_emit_refuses_non_finite_floats(self, capsys):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                cli._emit({"profit": bad})
+        assert capsys.readouterr().out == ""
+
+    def test_market_just_under_the_bound_solves_finitely(self, tmp_path, capsys):
+        # each market's n x (max |price| + sum of max |quality|) rounds to
+        # the largest float; every report is finite JSON, with no warning
+        top = sys.float_info.max
+        files = {
+            "a.csv": f"price,q1\n{top / 2!r},0\n{top / 2!r},1\n",
+            "b.csv": f"price,q1\n{top / 2!r},{-top / 2!r}\n",
+            "c.csv": "price,q1,q2\n"
+            f"{top / 4!r},{-top / 8!r},{-top / 8!r}\n"
+            f"{top / 4!r},{top / 8!r},{-top / 8!r}\n",
+        }
+
+        def reject(token):
+            raise AssertionError(f"{token} in a report")
+
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            algorithms = ["bruteforce", "approx"]
+            if name != "c.csv":
+                algorithms.append("exact1d")
+            for algorithm in algorithms:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(self.solve_args(path, algorithm))
+                assert code == 0, (name, algorithm)
+                report = json.loads(capsys.readouterr().out, parse_constant=reject)
+                result = report["result"]
+                assert result["status"] == "ok"
+                assert result["profit"] >= top / 2, (name, algorithm)
 
     def test_guard_breach_is_3(self, tmp_path, capsys):
         market = pd.random_pareto_market(220, 3, seed=0, value_range=(0, 200))

@@ -97,6 +97,29 @@ class TestDomainTypes:
             with pytest.raises(ValueError, match="finite"):
                 pd.Market.from_arrays([3.0, 2.0], [[1.0], [bad]])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # one customer: 1 x (1e308 + 1e308) overflows
+            [(1e308, [-1e308])],
+            # two customers: 2 x (1e308 + 1) overflows
+            [(1e308, [0.0]), (1e308, [1.0])],
+            # d = 2: 3 x (4e307 + 1e307 + 1e307) overflows
+            [(4e307, [1e307, 0.0]), (-4e307, [0.0, -1e307]), (0.0, [0.0, 0.0])],
+        ],
+    )
+    def test_every_constructor_refuses_overflowing_magnitudes(self, rows):
+        # n x (max |price| + sum_k max |q_k|) must be a finite float: it
+        # bounds every cost, margin and profit a solver forms
+        prices = [p for p, _ in rows]
+        qualities = [q for _, q in rows]
+        message = "too large: .* overflows a float"
+        with pytest.raises(ValueError, match=message):
+            market_of(*rows)
+        for validate in (True, False):
+            with pytest.raises(ValueError, match=message):
+                pd.Market.from_arrays(prices, qualities, validate=validate)
+
 
 class TestPpu:
     def test_single_quality(self):
@@ -456,13 +479,32 @@ class TestBruteForceOptimum:
         with pytest.raises(pd.GuardExceededError, match="18446744073709551616 cells"):
             pd.brute_force_optimum(m)
 
-    @pytest.mark.parametrize(("n", "d"), [(100, 2), (40, 3)])
-    def test_grid_memory(self, n, d):
-        # every coordinate distinct: n**(d + 1) cells, each held once as
-        # int64 buyers and once as float64 profit
-        m = pd.random_pareto_market(n, d, seed=3, value_range=(0, 10**6))
-        cells = math.prod(np.unique(v).size for v in (m.prices, *m.qualities.T))
-        assert cells == n ** (d + 1)
+    @staticmethod
+    def one_price_market(n):
+        # one price, so every customer is valid: qualities all distinct
+        rng = np.random.default_rng(3)
+        q = np.stack([rng.permutation(n), rng.permutation(n)], axis=1)
+        return pd.Market.from_arrays(np.full(n, 3.0 * n), q)
+
+    @pytest.mark.parametrize(
+        ("n", "d", "one_price"),
+        [
+            pytest.param(100, 2, False, id="100-2"),
+            pytest.param(40, 3, False, id="40-3"),
+            pytest.param(1000, 2, True, id="one-price"),
+        ],
+    )
+    def test_grid_memory(self, n, d, one_price):
+        # every coordinate distinct: n**(d + 1) cells, or n**d at one
+        # price, each held once as int64 buyers and once as float64 profit
+        if one_price:
+            m, cells = self.one_price_market(n), n**d
+        else:
+            m = pd.random_pareto_market(n, d, seed=3, value_range=(0, 10**6))
+            cells = n ** (d + 1)
+        assert cells == math.prod(
+            np.unique(v).size for v in (m.prices, *m.qualities.T)
+        )
         tracemalloc.start()
         try:
             rep = pd.brute_force_optimum(m)

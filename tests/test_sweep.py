@@ -96,9 +96,9 @@ def ascending(market):
 
 def search(market):
     """The 1-D search on the market's events: the event prices and the
-    negated event qualities."""
+    event qualities in ascending order."""
     p, q = event_arrays(market)
-    return sweep._row_maxima(p, -q)
+    return sweep._row_maxima(p, np.ascontiguousarray(q[::-1]))
 
 
 class TestSweepEvents:
@@ -130,7 +130,7 @@ class TestSweepEvents:
         # the solver sorts the price and the quality column each on its
         # own; on a Pareto-consistent market the search must still get the
         # arrays of the joint (price, quality) order, in any row order, and
-        # the negated qualities it gathers from and searches must be one
+        # the qualities it gathers from and searches must be one
         # contiguous ascending array
         seen = []
         search_rows = sweep._row_maxima
@@ -152,7 +152,7 @@ class TestSweepEvents:
                 (got,) = seen
                 assert len(got) == 2
                 assert np.array_equal(got[0], p), f"market {i}"
-                assert np.array_equal(got[1], -q), f"market {i}"
+                assert np.array_equal(got[1], q[::-1]), f"market {i}"
                 assert got[1].flags.c_contiguous
 
 
@@ -426,8 +426,8 @@ class TestStoredOrder:
         seen = []
         search_rows = sweep._row_maxima
 
-        def spy(p, negq):
-            seen.append(search_rows(p, negq))
+        def spy(p, q):
+            seen.append(search_rows(p, q))
             return seen[-1]
 
         monkeypatch.setattr(sweep, "_row_maxima", spy)
@@ -447,14 +447,29 @@ class TestStoredOrder:
         seen = []
         search_rows = sweep._row_maxima
 
-        def spy(p, negq):
+        def spy(p, q):
             seen.append(p)
-            return search_rows(p, negq)
+            return search_rows(p, q)
 
         monkeypatch.setattr(sweep, "_row_maxima", spy)
         m = pd.random_pareto_market(500, 1, seed=3, value_range=(0, 10_000))
         rep = pd.solve_exact_1d(m)
         assert np.shares_memory(seen[0], m.prices)
+        assert rep == direct_scan_report(m)[0]
+
+    def test_ascending_qualities_are_read_in_place(self, monkeypatch):
+        # neither a sorted nor a negated copy shares the market's memory
+        seen = []
+        search_rows = sweep._row_maxima
+
+        def spy(p, q):
+            seen.append(q)
+            return search_rows(p, q)
+
+        monkeypatch.setattr(sweep, "_row_maxima", spy)
+        m = pd.random_pareto_market(500, 1, seed=3, value_range=(0, 10_000))
+        rep = pd.solve_exact_1d(m)
+        assert np.shares_memory(seen[0], m.qualities)
         assert rep == direct_scan_report(m)[0]
 
     @pytest.mark.parametrize(
@@ -585,6 +600,20 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * n + 64 * sweep._ENTRY_BUDGET
+
+    def test_stored_ascending_columns_are_not_copied(self):
+        # criterion 8's largest market stores both columns ascending, so
+        # the solve reads them in place: nothing of 8n bytes, only
+        # index arrays of the pending blocks and the window arrays
+        n = 1_000_000
+        m = pd.random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
+        tracemalloc.start()
+        try:
+            pd.solve_exact_1d(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n + 32 * sweep._ENTRY_BUDGET
 
 
 class TestSweepAccounting:
