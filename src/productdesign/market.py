@@ -633,15 +633,19 @@ def _json_arrays(text: str) -> tuple[np.ndarray, np.ndarray]:
         raise MarketFormatError(f"non-finite literal {token!r} is not allowed")
 
     try:
-        data = json.loads(text, parse_constant=_reject)
+        try:
+            data = json.loads(text, parse_constant=_reject)
+        except (json.JSONDecodeError, MarketFormatError):
+            raise
+        except ValueError:
+            # an integer literal past int()'s digit limit: decode it as a
+            # _LongInteger, which the per-entry scan reports
+            data = json.loads(text, parse_constant=_reject, parse_int=_parse_int)
     except json.JSONDecodeError as e:
         raise MarketFormatError(f"invalid JSON: {e}") from e
-    except MarketFormatError:
-        raise
-    except ValueError:
-        # an integer literal past int()'s digit limit: decode it as a
-        # _LongInteger, which the per-entry scan reports
-        data = json.loads(text, parse_constant=_reject, parse_int=_parse_int)
+    except RecursionError:
+        # the decoder's depth limit, which differs between interpreters
+        raise MarketFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise MarketFormatError("top-level JSON value must be an object")
     dim = data.get("dim")
@@ -708,7 +712,11 @@ def _csv_arrays(text: str) -> tuple[np.ndarray, np.ndarray]:
     checked in bulk; only when that fails are the rows scanned one by one,
     to name the first bad line and field.
     """
-    records = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        records = list(reader)
+    except csv.Error as e:  # such as a field past csv.field_size_limit()
+        raise MarketFormatError(f"line {reader.line_num}: {e}") from None
     lines = [i for i, r in enumerate(records) if "".join(r).strip()]
     if not lines:
         raise MarketFormatError("empty CSV file")

@@ -284,36 +284,20 @@ class DepthResult:
 class _CornerGrid:
     """Per-axis distinct corner values of a set of homothets, sorted once.
 
-    ``values[k]`` holds the sorted distinct axis-``k`` values, ``first[k]``
-    the index of the first corner with each value and ``inverse[k]`` each
-    corner's position among them.  The grid of the first ``m`` corners
-    keeps the values whose first corner is among them (a mask), and a
-    corner's position on it is the number of kept values up to its own
-    (a ``cumsum``), so no prefix is sorted or searched again.  The corner
-    sums ``csum`` (in axis order) are per-corner, the same for a prefix as
-    for the whole set.
+    ``values[k]`` holds the sorted distinct axis-``k`` values, every zero
+    as ``0.0``, and ``inverse[k]`` each corner's position among them.  The
+    corner sums ``csum`` (in axis order) are per corner.  A query on the
+    first ``m`` corners keeps the values those corners take (see
+    :class:`_GridSlicer`), so no prefix is sorted or searched again.
     """
 
     def __init__(self, corners: np.ndarray):
-        self.n, self.d = corners.shape
+        self.d = corners.shape[1]
         self.cols = [np.ascontiguousarray(corners[:, k]) for k in range(self.d)]
         self.csum = _axis_sum(self.cols)  # as SimplexHomothet.sum_cap
-        self.values, self.first, self.inverse = zip(
-            *(
-                np.unique(col, return_index=True, return_inverse=True)
-                for col in self.cols
-            )
+        self.values, self.inverse = zip(
+            *(np.unique(col + 0.0, return_inverse=True) for col in self.cols)
         )
-
-    def axes(self, m: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Sorted distinct values of the first ``m`` corners per axis, and
-        each of those corners' positions among them."""
-        axes, pos = [], []
-        for values, first, inverse in zip(self.values, self.first, self.inverse):
-            keep = first < m
-            axes.append(values[keep])
-            pos.append((np.cumsum(keep) - 1)[inverse[:m]])
-        return axes, pos
 
 
 class _GridSlicer:
@@ -322,7 +306,9 @@ class _GridSlicer:
     The homothets are the first ``m`` corners of a :class:`_CornerGrid`
     with the ``m`` given sizes, sliced on their own grid: grid points are
     indexed by their per-axis positions in the sorted distinct values
-    ``axes[k]`` (``m_k`` of them) of those ``m`` corners only.  A homothet
+    ``axes[k]`` (``m_k`` of them) of those ``m`` corners only: the grid's
+    values that some of them take, a corner's position being the number
+    of those values up to its own (a ``cumsum``).  A homothet
     contains grid point ``x`` under the rule of :func:`contains`, whose sum
     never decreases when a coordinate grows, so the axis-``k`` values
     admitted for a fixed prefix form one run of positions ``[lo, hi)``:
@@ -350,7 +336,12 @@ class _GridSlicer:
         self.n, self.d = sizes.size, grid.d
         self.cols = [col[: self.n] for col in grid.cols]
         self.caps = grid.csum[: self.n] + sizes
-        self.axes, self.pos = grid.axes(self.n)
+        self.axes, self.pos = [], []
+        for values, inverse in zip(grid.values, grid.inverse):
+            keep = np.zeros(values.size, dtype=bool)
+            keep[inverse[: self.n]] = True
+            self.axes.append(values[keep])
+            self.pos.append((np.cumsum(keep) - 1)[inverse[: self.n]])
         self.rank_rows = math.prod(ax.size for ax in self.axes) >= _DIRECT_KEY_CELLS
         self.work = 0
 

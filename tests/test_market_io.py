@@ -116,6 +116,21 @@ MALFORMED = [
     # ValueError
     ("json", _json(OK, '{"price": 1%s, "qualities": [1, 2]}' % ("0" * 5000)),
      "customer 1: price: integer too large for a float (5001 digits)"),
+    # past the decoder's depth limit json.loads once raised RecursionError;
+    # 100,000 levels pass every supported interpreter's limit
+    ("json", "[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
+    ("json",
+     _json('{"price": 9, "qualities": [%s1%s]}' % ("[" * 100_000, "]" * 100_000),
+           dim=1),
+     "invalid JSON: nested too deeply"),
+    # past csv.field_size_limit() the reader once raised csv.Error
+    ("csv", "price,q1\n" + "1" * 200_000 + ",1\n",
+     "line 2: field larger than field limit (131072)"),
+    # a syntax error after such an integer once escaped the second decode
+    # as a plain JSONDecodeError
+    ("json", '{"dim": 2, "customers": [{"price": 1%s, "qualities": [1, 2]}'
+     % ("0" * 5000),
+     "invalid JSON: Expecting ',' delimiter: line 1 column 5059 (char 5058)"),
 ]
 
 

@@ -467,6 +467,39 @@ class TestDeepestPointExact:
         assert res.point == (1.0,) and res.depth == 2
 
 
+class TestCornerGrid:
+    def test_zero_is_named_without_sign(self):
+        # -0.0 and 0.0 are one grid line, named 0.0 in any corner order
+        corners = [(-0.0, 1.0), (0.0, 1.0), (0.0, -0.0)]
+        for order in (corners, corners[::-1]):
+            res = pd.deepest_point_exact(pd.SimplexArray(order, [1, 1, 1]))
+            assert res == pd.DepthResult((0.0, 1.0), 3)
+            assert not np.signbit(res.point).any()
+
+    def test_each_prefix_slices_its_own_lines(self):
+        # a ladder level slices the first m corners of one grid: its lines
+        # and positions are those of the m corners sorted on their own
+        rng = np.random.default_rng(41)
+        for t in range(30):
+            n, d = int(rng.integers(1, 80)), 1 + t % 3
+            if t % 2:
+                corners = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.5], size=(n, d))
+            else:
+                corners = np.round(rng.uniform(-2, 2, size=(n, d)), 1)
+            sizes = rng.uniform(0, 2, size=n)
+            margins = -np.sort(-rng.uniform(0.5, 4, size=n))
+            grid = simplices._CornerGrid(corners)
+            for c in pd.level_schedule(margins[0], 0.25, n):
+                m = int(np.count_nonzero(margins >= c))
+                slicer = simplices._GridSlicer(grid, sizes[:m])
+                for k in range(d):
+                    values, inverse = np.unique(
+                        corners[:m, k] + 0.0, return_inverse=True
+                    )
+                    assert slicer.axes[k].tobytes() == values.tobytes()
+                    assert np.array_equal(slicer.pos[k], inverse)
+
+
 class TestGenerators:
     def test_random_homothets_rejects_empty_shapes(self):
         for n, d in ((0, 2), (3, 0)):
