@@ -40,8 +40,8 @@ the walk reaches it, every searched level and the winner, ties included,
 are the ones a search of every level gives.
 
 The searched levels share one setup.  The customers are sorted once by
-descending margin; the first is the top customer, every ``reach(c)`` is
-a binary search, and level ``c`` is the prefix of those with margin at
+descending margin; the first are the top customers, every ``reach(c)``
+is a binary search, and level ``c`` is the prefix of those with margin at
 least ``c``, with sizes ``margin - c``.  The lowest level's corners are
 sorted once per axis into one grid, and each level slices only its own
 prefix's grid lines, picked out of that grid without another sort.  The
@@ -91,7 +91,7 @@ from .simplices import (
 
 @dataclass(frozen=True)
 class LevelOutcome:
-    """Diagnostics for one searched margin level."""
+    """Diagnostics for one searched margin level, its slicer's work included."""
 
     index: int
     constant: float
@@ -99,6 +99,7 @@ class LevelOutcome:
     depth: int
     product: Product
     profit: float
+    work: int
 
 
 @dataclass(frozen=True)
@@ -194,13 +195,15 @@ def _search_level(
 ) -> tuple[LevelOutcome, ProfitReport]:
     """Deepest product of level ``i`` and its report.  ``neg`` holds the
     negated margins of the customers by descending margin, the grid's
-    customers first; the top customer's margin is ``r``, at least every
+    customers first; the top customers' margin is ``r``, at least every
     level's ``c``, so the level is never empty."""
     m = int(np.searchsorted(neg, -c, side="right"))  # customers with margin >= c
-    found = _GridSlicer(grid, -neg[:m] - c).solve()
+    slicer = _GridSlicer(grid, -neg[:m] - c)
+    found = slicer.solve()
     product = lift_point(found.point, c)
     report = evaluate(market, product)
-    return LevelOutcome(i, c, m, found.depth, product, report.profit), report
+    outcome = LevelOutcome(i, c, m, found.depth, product, report.profit, slicer.work)
+    return outcome, report
 
 
 def solve_approx_detailed(
@@ -218,17 +221,19 @@ def solve_approx_detailed(
         return NO_PROFITABLE_PRODUCT, [], LadderStats(0, None)
     levels = level_schedule(r, epsilon, len(market))
 
-    # The customers by descending margin, ties in index order: the first
-    # is the top customer, and every level is a prefix of them, on the
-    # lowest level's corner grid.  ``neg`` is their negated margins,
-    # ascending, in which searchsorted counts a level's customers.
+    # The customers by descending margin: every level is a prefix of
+    # them, on the lowest level's corner grid.  ``neg`` is their negated
+    # margins, ascending, in which searchsorted counts a level's customers.
     order = np.argsort(-margins, kind="stable")
     neg = -margins[order]
 
-    # Seed the running best with the top customer's own offer (module
-    # notes); later winners must strictly beat it, so ties resolve toward
-    # the top customer's own offer, then the highest-margin level.
-    top = market.customer(int(order[0]))
+    # Seed the running best with the own offer (module notes) of the top
+    # customer the answer rule names: highest price, then lexicographically
+    # smallest qualities, whatever the rows' order.  Later winners must
+    # strictly beat it, so ties resolve toward it, then the highest level.
+    tied = order[: int(np.searchsorted(neg, neg[0], side="right"))]
+    keys = (*market.qualities[tied].T[::-1], -market.prices[tied])
+    top = market.customer(int(tied[np.lexsort(keys)[0]]))
     best = evaluate(market, Product(top.price, top.qualities))
 
     low = order[: int(np.searchsorted(neg, -levels[-1], side="right"))]

@@ -35,7 +35,7 @@ from .market import (
 from .simplices import arrangement_stats, depth_controlled_family
 from .sweep import solve_exact_1d_with_stats
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 ALGORITHMS = ("exact1d", "approx", "bruteforce")
 # Tolerance of `bench approx`, the one the benchmark's approx workload uses.
 BENCH_EPSILON = 0.25
@@ -82,6 +82,37 @@ def _result_section(report) -> dict:
     }
 
 
+def _solve(market: Market, algorithm: str, epsilon: float | None) -> tuple:
+    """The solver's report and the report's ``diagnostics``.  The solvers
+    are called by their names in this module, where perfbench wraps them."""
+    if algorithm == "exact1d":
+        report, stats = solve_exact_1d_with_stats(market)
+        return report, {
+            "events": stats.events,
+            "distinct_qualities": stats.appended,
+            "entries": stats.entries,
+            "rows_pruned": stats.rows_pruned,
+        }
+    if algorithm == "approx":
+        report, levels, ladder = solve_approx_detailed(market, epsilon)
+        return report, {
+            "levels": [
+                {
+                    "index": lv.index,
+                    "constant": lv.constant,
+                    "simplices": lv.simplex_count,
+                    "depth": lv.depth,
+                    "profit": lv.profit,
+                    "work": lv.work,
+                }
+                for lv in levels
+            ],
+            "levels_skipped": ladder.levels_skipped,
+            "depth_cap": ladder.depth_cap,
+        }
+    return brute_force_optimum(market), {"grid": "customer-coordinate product grid"}
+
+
 def run(
     input: str, algorithm: str, epsilon: float | None = None, prune: bool = False
 ) -> dict:
@@ -94,34 +125,7 @@ def run(
     market, pruned = load_market(input, prune)
 
     start = time.perf_counter()
-    diagnostics: dict
-    if algorithm == "exact1d":
-        report, stats = solve_exact_1d_with_stats(market)
-        diagnostics = {
-            "events": stats.events,
-            "distinct_qualities": stats.appended,
-            "entries": stats.entries,
-            "rows_pruned": stats.rows_pruned,
-        }
-    elif algorithm == "approx":
-        report, levels, ladder = solve_approx_detailed(market, epsilon)
-        diagnostics = {
-            "levels": [
-                {
-                    "index": lv.index,
-                    "constant": lv.constant,
-                    "simplices": lv.simplex_count,
-                    "depth": lv.depth,
-                    "profit": lv.profit,
-                }
-                for lv in levels
-            ],
-            "levels_skipped": ladder.levels_skipped,
-            "depth_cap": ladder.depth_cap,
-        }
-    else:
-        report = brute_force_optimum(market)
-        diagnostics = {"grid": "customer-coordinate product grid"}
+    report, diagnostics = _solve(market, algorithm, epsilon)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     # Never emit an unverified result.
@@ -208,21 +212,28 @@ def _time_ratios(rows: list[dict]) -> list[float | None]:
     ]
 
 
+def _sweep_market(n: int) -> Market:
+    """Criterion 8's market: nearly every quality distinct."""
+    return random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
+
+
+def _approx_market(n: int, d: int) -> Market:
+    """The pruned float market, ``q ~ U(0, 100)^d`` and margin ``~ U(1, 5)``:
+    each level's grid has about as many lines per axis as customers."""
+    rng = np.random.default_rng(0)
+    q = rng.uniform(0, 100, size=(n, d))
+    return _prune_arrays(q.sum(axis=1) + rng.uniform(1, 5, size=n), q)
+
+
+def _bench_row(n: int, market: Market, algorithm: str, epsilon: float | None) -> dict:
+    """Row ``n``: a timed solve's median ms, its profit and ``diagnostics``."""
+    (report, diagnostics), ms = _timed(lambda: _solve(market, algorithm, epsilon))
+    return {"n": n, "ms": round(ms, 3), "profit": report.profit, **diagnostics}
+
+
 def _bench_sweep(args) -> int:
-    rows = []
-    for n in (int(s) for s in args.sizes.split(",")):
-        # criterion 8's market and seed: nearly every quality distinct
-        market = random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
-        (report, stats), ms = _timed(lambda: solve_exact_1d_with_stats(market))
-        rows.append(
-            {
-                "n": n,
-                "ms": round(ms, 3),
-                "profit": report.profit,
-                "entries": stats.entries,
-                "rows_pruned": stats.rows_pruned,
-            }
-        )
+    sizes = [int(s) for s in args.sizes.split(",")]
+    rows = [_bench_row(n, _sweep_market(n), "exact1d", None) for n in sizes]
     _emit({"bench": "sweep", "runs": rows, "time_ratios": _time_ratios(rows)})
     return 0
 
@@ -232,25 +243,9 @@ def _bench_approx(args) -> int:
         raise ValueError("d must be positive")
     rows = []
     for n in (int(s) for s in args.sizes.split(",")):
-        # the float regime: every corner value distinct, so each level's
-        # grid has about as many lines per axis as the level has customers
-        rng = np.random.default_rng(0)
-        q = rng.uniform(0, 100, size=(n, args.d))
-        market = _prune_arrays(q.sum(axis=1) + rng.uniform(1, 5, size=n), q)
-        (report, levels, ladder), ms = _timed(
-            lambda: solve_approx_detailed(market, BENCH_EPSILON)
-        )
-        rows.append(
-            {
-                "n": n,
-                "pruned_n": len(market),
-                "ms": round(ms, 3),
-                "ladder_levels": len(levels) + ladder.levels_skipped,
-                "levels_searched": len(levels),
-                "levels_skipped": ladder.levels_skipped,
-                "profit": report.profit,
-            }
-        )
+        market = _approx_market(n, args.d)
+        row = _bench_row(n, market, "approx", BENCH_EPSILON)
+        rows.append({**row, "pruned_n": len(market)})
     _emit(
         {
             "bench": "approx",

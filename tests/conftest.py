@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 
 import productdesign as pd
+from productdesign import cli
 
 
 def market_of(*pairs) -> pd.Market:
@@ -131,6 +133,41 @@ def float_market(rng, n: int, d: int, ties: bool = False) -> pd.Market:
     return pd.prune_dominated(
         pd.Customer(float(p), tuple(map(float, row))) for p, row in zip(prices, q)
     )
+
+
+def deep_chain(n: int, d: int) -> pd.Market:
+    """A strict chain whose lowest approx level is deep: each quality
+    column holds ``n`` distinct values of ``0..20n`` in ascending order, and
+    the price is their sum plus ``d`` times a running sum of steps of
+    1..3, so no customer is dominated."""
+    rng = np.random.default_rng(1)
+    q = np.stack([np.sort(rng.choice(20 * n, n, replace=False)) for _ in range(d)], 1)
+    prices = q.sum(axis=1) + d * np.cumsum(rng.integers(1, 4, n))
+    return pd.Market.from_arrays(prices.astype(float), q.astype(float))
+
+
+@functools.cache
+def deep_chain_solve(n: int, d: int) -> tuple[pd.ProfitReport, dict]:
+    """``cli._solve`` of approx at epsilon 0.25 on ``deep_chain(n, d)``,
+    run once per session for every test that reads it."""
+    return cli._solve(deep_chain(n, d), "approx", 0.25)
+
+
+def chain_optimum(market: pd.Market) -> float:
+    """Exact optimal profit of a strict chain, whose quality columns each
+    hold distinct values in ascending order.
+
+    Customer ``i``'s requirements are then below customer ``j``'s on every
+    axis exactly when ``i < j``, so a buyer set's componentwise maximum is
+    its last member's requirements, and the product ``(P, q_t)`` sells to
+    the customers ``i <= t`` with ``p_i >= P``: the 1-D market of prices
+    and axis-order quality sums, at the same cost.  The values must be
+    integers below 2**53, so that the sums are exact.
+    """
+    line = axis_sums(market.qualities)[:, None]
+    return pd.solve_exact_1d(
+        pd.Market.from_arrays(market.prices, line, validate=False)
+    ).profit
 
 
 def event_arrays(market: pd.Market):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import productdesign as pd
-from conftest import float_market, market_of
+from conftest import (
+    chain_optimum,
+    deep_chain,
+    deep_chain_solve,
+    float_market,
+    market_of,
+)
+from productdesign import market as market_mod
 from productdesign import simplices
 
 
@@ -296,3 +303,38 @@ class TestSolveApprox:
             assert lv.profit == pd.evaluate(m, lv.product).profit
             assert math.isclose(pd.ppu(lv.product), lv.constant, rel_tol=1e-12)
         assert rep.profit >= max(lv.profit for lv in levels)
+
+
+class TestChainOracle:
+    @staticmethod
+    def small_chain(seed: int, d: int) -> pd.Market:
+        """A pruned strict chain of integers with price ties and some
+        negative margins."""
+        n = 20 if d == 2 else 12
+        rng = np.random.default_rng(seed)
+        q = np.stack([np.sort(rng.choice(60, n, replace=False)) for _ in range(d)], 1)
+        prices = q.sum(axis=1) + rng.integers(-3, 6, n)
+        return market_mod._prune_arrays(prices.astype(float), q.astype(float))
+
+    def test_reduction_equals_the_exhaustive_oracle(self):
+        zeros = tied = negative = 0
+        for seed in range(300):
+            for d in (2, 3):
+                m = self.small_chain(seed, d)
+                exact = pd.brute_force_optimum(m).profit
+                assert chain_optimum(m) == exact, (seed, d)
+                # every zero quality written as -0.0
+                q = np.where(m.qualities == 0, -0.0, m.qualities)
+                signed = pd.Market.from_arrays(m.prices, q)
+                assert chain_optimum(signed) == exact, (seed, d)
+                assert pd.brute_force_optimum(signed).profit == exact, (seed, d)
+                zeros += bool((m.qualities == 0).any())
+                tied += np.unique(m.prices).size < len(m)
+                negative += bool((m.prices < m.qualities.sum(axis=1)).any())
+        assert min(zeros, tied, negative) > 0
+
+    @pytest.mark.parametrize(("n", "d"), [(4000, 2), (1000, 3)])
+    def test_approx_keeps_its_ratio_on_deep_chains(self, n, d):
+        report, _ = deep_chain_solve(n, d)
+        exact = chain_optimum(deep_chain(n, d))
+        assert 0.75 * exact <= report.profit <= exact

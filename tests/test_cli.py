@@ -83,7 +83,7 @@ class TestRun:
             "max_ppu": 2.0,
             "pruned_customers": 0,
         }
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         assert report["diagnostics"]["events"] == 2
         market, _ = load_market(two_customer_csv)
         _, stats = pd.solve_exact_1d_with_stats(market)
@@ -438,24 +438,20 @@ class TestMainExitCodes:
         assert "guard" in capsys.readouterr().err
 
     def test_depth_guard_at_the_lowest_levels_work(self, tmp_path, capsys, monkeypatch):
-        # the lowest level's own slicer work, as a standalone query on its
-        # projection counts it, fits every level of the solve; one less
-        # trips the guard
+        # the lowest level's slicer work, as the solve reports it, fits
+        # every level of the solve; one less trips the guard
         market = pd.random_pareto_market(300, 2, seed=4, value_range=(0, 40))
         ladder = pd.level_schedule(pd.max_ppu(market), 0.9, len(market))
-        sims = [s for s, _ in pd.project_customers(market, ladder[-1])]
-        slicer = simplices._GridSlicer(
-            simplices._CornerGrid(np.array([s.corner for s in sims])),
-            np.array([s.size for s in sims]),
-        )
-        slicer.solve()
+        _, levels, _ = pd.solve_approx_detailed(market, 0.9)
+        work = levels[-1].work
         # the ladder's own guard charge (levels times customers) is below
         # that work, so the depth guard is the one at its edge here
-        assert len(ladder) * len(market) < slicer.work
-        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", slicer.work)
+        assert len(ladder) * len(market) < work
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", work)
         _, levels, _ = pd.solve_approx_detailed(market, 0.9)
         assert len(levels) > 1
-        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", slicer.work - 1)
+        assert max(lv.work for lv in levels) == work
+        monkeypatch.setattr(simplices, "EXACT_DEPTH_GUARD", work - 1)
         path = tmp_path / "m.csv"
         path.write_text(pd.market_to_csv(market))
         argv = ["solve", "--input", str(path), "--algorithm", "approx"]
@@ -665,14 +661,15 @@ class TestBench:
             market = market_mod._prune_arrays(prices, q)
             report, levels, ladder = pd.solve_approx_detailed(market, 0.25)
             assert set(r) == {
-                "n", "pruned_n", "ms", "ladder_levels", "levels_searched",
-                "levels_skipped", "profit",
+                "n", "pruned_n", "ms", "profit", "levels", "levels_skipped",
+                "depth_cap",
             }
             assert r["pruned_n"] == len(market) <= r["n"]
             ladder_levels = pd.level_schedule(pd.max_ppu(market), 0.25, len(market))
-            assert r["ladder_levels"] == len(ladder_levels)
-            assert r["levels_searched"] == len(levels)
+            assert len(r["levels"]) + r["levels_skipped"] == len(ladder_levels)
+            assert [lv["work"] for lv in r["levels"]] == [lv.work for lv in levels]
             assert r["levels_skipped"] == ladder.levels_skipped
+            assert r["depth_cap"] == ladder.depth_cap
             assert r["profit"] == report.profit > 0
 
     @pytest.mark.parametrize("d", ["0", "-1"])

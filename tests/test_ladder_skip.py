@@ -20,25 +20,32 @@ def search_every_level(market, epsilon):
     if r <= 0:
         return pd.NO_PROFITABLE_PRODUCT, []
     levels = pd.level_schedule(r, epsilon, len(market))
-    # the top customer's own offer: its margin is r under the one cost
-    # rule, and that customer buys it, so best.profit > 0 from here on
-    top = market.customer(int(np.argmax(approx._margins(market))))
+    # the own offer of the top customer the answer rule names (highest
+    # price, then lexicographically smallest qualities): its margin is r
+    # under the one cost rule, and that customer buys it, so best.profit > 0
+    # from here on
+    margins = approx._margins(market)
+    top = min(
+        (c for c, m in zip(market, margins) if m == margins.max()),
+        key=lambda c: (-c.price, c.qualities),
+    )
     best = pd.evaluate(market, pd.Product(top.price, top.qualities))
     outcomes = []
     for i, c in enumerate(levels):
         projected = pd.project_customers(market, c)
         if not projected:
             continue
-        found = pd.deepest_point_exact(
-            pd.SimplexArray(
-                [s.corner for s, _ in projected], [s.size for s, _ in projected]
-            )
+        corners = np.array([s.corner for s, _ in projected])
+        slicer = simplices._GridSlicer(
+            simplices._CornerGrid(corners), np.array([s.size for s, _ in projected])
         )
+        found = slicer.solve()
         product = pd.lift_point(found.point, c)
         report = pd.evaluate(market, product)
         outcomes.append(
             pd.LevelOutcome(
-                i, c, len(projected), found.depth, product, report.profit
+                i, c, len(projected), found.depth, product, report.profit,
+                slicer.work,
             )
         )
         if report.profit > best.profit:

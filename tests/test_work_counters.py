@@ -3,16 +3,16 @@
 Time cannot gate a change on a shared host, but these counts can: work
 done may not exceed its committed value, work avoided may not fall below
 it, and results must equal it.  A change that moves a counter on purpose
-updates ``COMMITTED`` and says why in CHANGES.md.
+updates ``COMMITTED`` and says why in CHANGES.md.  The sweep and float
+markets are the ones ``productdesign bench`` builds, and every count is
+read from the ``diagnostics`` of the solve ``productdesign solve`` runs.
 """
 
-import numpy as np
 import pytest
 
 import productdesign as pd
-from productdesign import market as market_mod
-from productdesign import simplices
-from productdesign.sweep import solve_exact_1d_with_stats
+from conftest import deep_chain_solve
+from productdesign import cli
 
 COMMITTED = {
     # criterion 8's markets by n: (entries, rows_pruned, profit)
@@ -40,6 +40,20 @@ COMMITTED = {
             22, 2, 5.623046629224206,
         ),
     },
+    # deep chains (conftest.deep_chain) at epsilon 0.25 by (d, n):
+    # {searched level: its slicer work}, levels skipped, depth cap, profit
+    "deep_chain": {
+        (2, 4_000): (
+            {0: 3, 1: 267_156, 2: 786_468, 3: 1_358_319, 4: 1_891_572,
+             29: 4_027_935},
+            24, 391, 1590159.375,
+        ),
+        (3, 1_000): (
+            {0: 4, 1: 632_689, 2: 3_186_527, 3: 6_845_013, 4: 10_869_453,
+             25: 31_734_682},
+            20, 98, 145632.9375,
+        ),
+    },
     # depth-controlled families by (n, k): pairwise intersections
     "arrangement": {
         (100, 2): 50, (100, 4): 150, (100, 8): 342,
@@ -52,39 +66,35 @@ COMMITTED = {
 @pytest.mark.parametrize("n", sorted(COMMITTED["sweep"]))
 def test_sweep_counts(n):
     entries, rows_pruned, profit = COMMITTED["sweep"][n]
-    market = pd.random_pareto_market(n, 1, seed=8, value_range=(0, 20 * n))
-    report, stats = solve_exact_1d_with_stats(market)
-    assert stats.entries <= entries
-    assert stats.rows_pruned >= rows_pruned
+    report, diagnostics = cli._solve(cli._sweep_market(n), "exact1d", None)
+    assert diagnostics["entries"] <= entries
+    assert diagnostics["rows_pruned"] >= rows_pruned
+    assert report.profit == profit
+
+
+def check_ladder(report, diagnostics, work, skipped, cap, profit):
+    """The searched levels' work, the skip and the answer of an approx
+    solve against their committed values."""
+    levels = diagnostics["levels"]
+    assert {lv["index"] for lv in levels} <= set(work)
+    for lv in levels:
+        assert lv["work"] <= work[lv["index"]], f"level {lv['index']}"
+    assert diagnostics["levels_skipped"] >= skipped
+    assert diagnostics["depth_cap"] == cap
     assert report.profit == profit
 
 
 @pytest.mark.parametrize(("d", "n"), sorted(COMMITTED["approx"]))
-def test_approx_counts(monkeypatch, d, n):
-    pruned_n, work, skipped, cap, profit = COMMITTED["approx"][(d, n)]
-    done = []
-    solve = simplices._GridSlicer.solve
-
-    def spy(self):
-        found = solve(self)
-        done.append(self.work)
-        return found
-
-    monkeypatch.setattr(simplices._GridSlicer, "solve", spy)
-    # the market of `productdesign bench approx --sizes n --d d`
-    rng = np.random.default_rng(0)
-    q = rng.uniform(0, 100, size=(n, d))
-    market = market_mod._prune_arrays(q.sum(axis=1) + rng.uniform(1, 5, size=n), q)
-    report, levels, ladder = pd.solve_approx_detailed(market, 0.25)
+def test_approx_counts(d, n):
+    pruned_n, *committed = COMMITTED["approx"][(d, n)]
+    market = cli._approx_market(n, d)
     assert len(market) == pruned_n
-    # the lowest level is searched first, the others in ladder order
-    searched = [lv.index for lv in levels[-1:] + levels[:-1]]
-    assert set(searched) <= set(work)
-    for i, w in zip(searched, done, strict=True):
-        assert w <= work[i], f"level {i}"
-    assert ladder.levels_skipped >= skipped
-    assert ladder.depth_cap == cap
-    assert report.profit == profit
+    check_ladder(*cli._solve(market, "approx", cli.BENCH_EPSILON), *committed)
+
+
+@pytest.mark.parametrize(("d", "n"), sorted(COMMITTED["deep_chain"]))
+def test_deep_chain_counts(d, n):
+    check_ladder(*deep_chain_solve(n, d), *COMMITTED["deep_chain"][(d, n)])
 
 
 @pytest.mark.parametrize(("n", "k"), sorted(COMMITTED["arrangement"]))
