@@ -184,7 +184,7 @@ class Market:
     :func:`_check_magnitudes`).
     """
 
-    __slots__ = ("_prices", "_qualities")
+    __slots__ = ("_prices", "_qualities", "_ascending_tests")
 
     def __init__(self, customers: Iterable[Customer]):
         prices, qualities = _customer_arrays(
@@ -225,8 +225,15 @@ class Market:
         qualities.setflags(write=False)
         self._prices = prices
         self._qualities = qualities
+        # whether a 1-D market's price and quality columns are stored
+        # ascending: each _ascending test's answer, None until it runs
+        self._ascending_tests = (None, None)
         if validate:
-            witness = _pareto_witness(prices, qualities)
+            if qualities.shape[1] == 1:
+                mask, self._ascending_tests = _dominated_1d(prices, qualities[:, 0])
+            else:
+                mask = _dominated_mask(prices, qualities)
+            witness = _pareto_witness(prices, qualities, mask)
             if witness is not None:
                 i, j = witness
                 raise ParetoViolationError(
@@ -235,6 +242,19 @@ class Market:
                     f"quality); fix the input or prune dominated customers",
                     pair=witness,
                 )
+
+    def _columns_ascending(self) -> tuple[bool, bool]:
+        """Whether a 1-D market's price and quality columns are stored in
+        ascending order.  Each column is tested by :func:`_ascending` once
+        per market: the Pareto check's tests are kept, and a column it did
+        not test (every column of a market built with ``validate=False``)
+        is tested on the first call."""
+        columns = self._prices, self._qualities[:, 0]
+        self._ascending_tests = tuple(
+            _ascending(x) if up is None else up
+            for x, up in zip(columns, self._ascending_tests)
+        )
+        return self._ascending_tests
 
     @property
     def dim(self) -> int:
@@ -287,9 +307,13 @@ def _ascending(x: np.ndarray) -> bool:
     return all((y[1:] >= y[:-1]).all() for y in (x[:9], x))
 
 
-def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _dominated_1d(
+    prices: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, tuple[bool, bool | None]]:
     """Mask of the dominated customers for one quality axis ``q``: those
-    with a strictly cheaper customer who demands strictly more.
+    with a strictly cheaper customer who demands strictly more, and the
+    :func:`_ascending` tests of ``prices`` and ``q`` (``None`` for ``q``
+    when the prices are not ascending, as it is then not tested).
 
     In price order (any order among equal prices; a price column stored
     ascending is used as it is), let ``run`` be the running maximum of
@@ -307,9 +331,11 @@ def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> np.ndarray:
     cheaper customer comes earlier and demands no more, so no customer is
     dominated and the mask is returned before any pass.
     """
-    if _ascending(prices):
-        if _ascending(q):
-            return np.zeros(prices.size, dtype=bool)
+    p_up = _ascending(prices)
+    q_up = _ascending(q) if p_up else None
+    if q_up:
+        return np.zeros(prices.size, dtype=bool), (p_up, q_up)
+    if p_up:
         order, ps, qs = None, prices, q
     else:
         order = np.argsort(prices)
@@ -320,7 +346,7 @@ def _dominated_1d(prices: np.ndarray, q: np.ndarray) -> np.ndarray:
     cand = cand[(g > 0) & (qs[cand] < run[g - 1])]
     mask = np.zeros(prices.size, dtype=bool)
     mask[cand if order is None else order[cand]] = True
-    return mask
+    return mask, (p_up, q_up)
 
 
 def _dominators(prices: np.ndarray, qualities: np.ndarray, a: int) -> np.ndarray:
@@ -332,11 +358,11 @@ def _dominators(prices: np.ndarray, qualities: np.ndarray, a: int) -> np.ndarray
 
 
 def _pareto_witness(
-    prices: np.ndarray, qualities: np.ndarray
+    prices: np.ndarray, qualities: np.ndarray, mask: np.ndarray
 ) -> tuple[int, int] | None:
     """One (dominated, dominating) index pair, or None if the set is valid:
-    the lowest dominated index and the lowest index dominating it."""
-    mask = _dominated_mask(prices, qualities)
+    the lowest dominated index and the lowest index dominating it, given
+    the :func:`_dominated_mask` of the set."""
     if not mask.any():
         return None
     dominated = int(np.argmax(mask))
@@ -353,7 +379,7 @@ def _dominated_mask(prices: np.ndarray, qualities: np.ndarray) -> np.ndarray:
     """
     n, d = qualities.shape
     if d == 1:
-        return _dominated_1d(prices, qualities[:, 0])
+        return _dominated_1d(prices, qualities[:, 0])[0]
     if d == 2:
         return _dominated_2d(prices, qualities[:, 0], qualities[:, 1])
     if n * n > PARETO_GUARD:

@@ -14,8 +14,11 @@ inputs store it) is not sorted or copied: one O(n) comparison finds
 that, and the column is read in place; a shuffled column fails the
 comparison within its first few pairs and is sorted once.  That test is
 :func:`~productdesign.market._ascending`, which the Pareto check of a
-1-D market shares to skip its own sort.  Only values that compare equal
-can end up in another order than a joint sort would give them, and of
+1-D market runs to skip its own sort; the market keeps its answers, so
+a validated market's solve tests neither column again, and a market
+built with ``validate=False`` tests each column on its first solve
+only.  Only values that compare equal can end up in another order than
+a joint sort would give them, and of
 those only ``-0.0`` and ``0.0`` differ, which the reported product does
 not show: a :class:`~productdesign.market.Product` stores every zero as
 ``0.0``.  A market built with
@@ -67,13 +70,14 @@ ends): O(n log n) overall.  A pass is evaluated in windows of at most
 however large ``n`` is, and freed memory is reused by the next window
 instead of being paged in again.  A block cut by a window edge merges
 the maxima of its parts, the later (rightmost) column winning a tie, so
-the windows change no row's maximum or argmax.
+the windows change no row's maximum or argmax; a pass that fits one
+window cuts no block and merges nothing.
 
-Only the overall maximum is needed, so before each pass every pending
-block (rows ``lo..hi``, columns ``lo_col..hi_col``) is bounded and
-trimmed.  Its positive entries lie in the columns ``low..top``, with
-``low = max(lo_col, j0(lo))`` and ``top = min(hi_col, hi)``; a block with
-``low > top`` has none and is dropped.  The rows ``lo..hi`` and the
+Only the overall maximum is needed, so before each pass, the first one
+included, every pending block (rows ``lo..hi``, columns
+``lo_col..hi_col``) is bounded and trimmed.  Its positive entries lie in
+the columns ``low..top``, with ``low = max(lo_col, j0(lo))`` and ``top =
+min(hi_col, hi)``; a block with ``low > top`` has none and is dropped.  The rows ``lo..hi`` and the
 columns ``low..top`` are each cut into ``k`` near-equal pieces, and the
 piece of rows ``ra..rb`` and columns ``ca..cb`` is bounded by
 
@@ -84,10 +88,9 @@ times the largest count of an entry in it; it is empty when ``ca >
 min(cb, rb)``.  Float subtraction and multiplication round
 monotonically, so no positive float entry of a piece exceeds its float
 bound.  A block is kept when a piece bound is at least the best entry
-found so far (0 at the start), and its rows are trimmed to the first
-through the last row of such pieces; every row dropped, inside a block or
-with it, has all its entries below the best, so a row holding the maximum
-is never dropped.  The columns are not trimmed, as a kept row's own
+known, and its rows are trimmed to the first through the last row of
+such pieces; every row dropped, inside a block or with it, has all its
+entries below the best, so a row holding the maximum is never dropped.  The columns are not trimmed, as a kept row's own
 maximum may lie in a piece below the best: the block's column range
 holds the rightmost maximizing column of every one of its rows, so it
 holds those of the trimmed rows too, and each searched row keeps the
@@ -96,6 +99,17 @@ kept, so the first row holding the maximum, and its rightmost maximizing
 column, are still the ones reported; dropping ties would let a
 lower-priced row found in an earlier pass stand in for a higher-priced
 row that only ties it.
+
+Before the first pass no entry has been scanned, so each piece of that
+step also gives a lower bound: the entry at its middle row
+``t = (ra + rb) // 2`` and its middle reachable column ``j = (ca +
+min(cb, rb)) // 2``, taken only where ``0 <= j <= t``.  That is a real
+entry of ``M``, computed with the same float operations as a scan of
+it, so it is at most the maximum; the best starts at the largest of
+these probes, or at 0 when none is positive.  Starting from 0 instead,
+the first passes would scan rows far from the optimum before any pass
+could prune them.  Probes, like piece bounds, are not counted as
+evaluated entries.
 
 The grid is ``k = isqrt(_PIECE_BUDGET // blocks)`` pieces a side, at
 least 1, so a pruning step computes at most ``_PIECE_BUDGET`` piece
@@ -126,7 +140,6 @@ from .market import (
     Market,
     Product,
     ProfitReport,
-    _ascending,
     evaluate,
 )
 
@@ -145,14 +158,17 @@ class SweepStats:
 
     ``appended`` counts the distinct qualities and ``duplicate_skips``
     the events that repeat an earlier quality.  Every event is a matrix
-    column: ``entries`` counts the entries the search evaluated, all in
-    their rows' positive-margin bands, and ``rows_pruned`` the rows it
-    never scanned: rows with no positive-margin entry in their column
-    range, and rows whose every piece bound fell below the best entry
-    already found, with their block or trimmed off its ends (each pending
-    block is cut into a grid of at most ``_PIECE_BUDGET`` pieces over all
-    blocks; a trimmed block keeps its columns, so every scanned row still
-    gets its whole-row maximum and rightmost argmax).
+    column: ``entries`` counts the entries the search scanned, all in
+    their rows' positive-margin bands (the piece bounds, and the entries
+    probed for a first best before any scan, are not counted), and
+    ``rows_pruned`` the rows it never scanned: rows with no
+    positive-margin entry in their column range, and rows whose every
+    piece bound fell below the best entry already known, with their
+    block or trimmed off its ends.  Pruning runs before every pass, the
+    first included (each pending block is cut into a grid of at most
+    ``_PIECE_BUDGET`` pieces over all blocks; a trimmed block keeps its
+    columns, so every scanned row still gets its whole-row maximum and
+    rightmost argmax).
     ``certificate_pushes`` is always 0; it is kept only because the
     benchmark in ``perfbench/`` reads it.
     """
@@ -189,9 +205,10 @@ def solve_exact_1d_with_stats(market: Market) -> tuple[ProfitReport, SweepStats]
     # column ascending, read in place when stored so; the prices are
     # searched in event order through a reversed view
     p, q = market.prices, market.qualities[:, 0]
-    if not _ascending(p):
+    p_up, q_up = market._columns_ascending()
+    if not p_up:
         p = np.sort(p)
-    if not _ascending(q):
+    if not q_up:
         q = np.sort(q)
     p = p[::-1]
 
@@ -230,27 +247,74 @@ def _row_maxima(
     within that block's column range ``lo_col..hi_col`` (cut at the row
     itself), at most ``_ENTRY_BUDGET`` entries at a time;
     its argmax, or for an empty band the band's first column, bounds the
-    ranges of the rows above and below.  Before the next pass a block
-    with no band is dropped, and so is a block whose every piece bound
-    (a grid of at most ``_PIECE_BUDGET`` pieces over all blocks, each
-    bounded by its highest price less the lowest quality it reaches,
-    times its largest count; see the module docstring for why that
-    bounds every positive float entry) is strictly below the best peak
-    found so far; ties are kept.  A kept block's rows are trimmed to the
-    pieces that reach the best, its columns are not, so each searched
-    row's column range still holds its whole-row rightmost argmax.
-    Returns the searched rows in search order, their maxima (all
-    positive) and argmax columns, and the number of entries evaluated.
+    ranges of the rows above and below.  Before every pass, the first
+    included, a block with no band is dropped, and so is a block whose
+    every piece bound (a grid of at most ``_PIECE_BUDGET`` pieces over
+    all blocks, each bounded by its highest price less the lowest
+    quality it reaches, times its largest count; see the module
+    docstring for why that bounds every positive float entry) is
+    strictly below the best entry known; ties are kept.  Before the
+    first pass the best is the largest of the entries at each piece's
+    middle row and middle reachable column (where that column is at most
+    the row), or 0: real entries, so no probe exceeds the maximum.  A
+    kept block's rows are trimmed to the pieces that reach the best, its
+    columns are not, so each searched row's column range still holds its
+    whole-row rightmost argmax.  Returns the searched rows in search
+    order, their maxima (all positive) and argmax columns, and the number
+    of entries scanned; probes, like piece bounds, are not counted.
     """
     n = p.size
-    found_rows, found_max, found_arg = [], [], []
+    no_rows = np.empty(0, dtype=np.int64)
+    found_rows, found_max, found_arg = [no_rows], [np.empty(0)], [no_rows]
     entries = 0
     best = 0.0
+    seeded = False
     lo = np.zeros(1, dtype=np.int64)
     hi = np.full(1, n - 1, dtype=np.int64)
     lo_col = np.zeros(1, dtype=np.int64)
     hi_col = hi.copy()
-    while lo.size:
+    while True:
+        # cut each block with a band into a k x k grid of pieces (see the
+        # module docstring), keep the blocks with a piece bound >= best and
+        # trim their rows to such pieces; their columns stay whole
+        low = n - q.searchsorted(p[lo], "left")
+        np.maximum(low, lo_col, out=low)
+        top = np.minimum(hi_col, hi)
+        band = low <= top
+        lo, hi, lo_col, hi_col = lo[band], hi[band], lo_col[band], hi_col[band]
+        low, top = low[band], top[band]
+        k = max(1, isqrt(_PIECE_BUDGET // max(lo.size, 1)))
+        cut = np.arange(k + 1)
+        row_cut = lo[:, None] + (hi + 1 - lo)[:, None] * cut // k
+        col_cut = low[:, None] + (top + 1 - low)[:, None] * cut // k
+        ra, rb = row_cut[:, :-1], row_cut[:, 1:] - 1
+        ca, cb = col_cut[:, None, :-1], col_cut[:, None, 1:] - 1
+        last = np.minimum(cb, rb[:, :, None])
+        if not seeded:
+            # before any scan, the entry at each piece's middle row and
+            # middle reachable column is a lower bound on the maximum
+            seeded = True
+            j = (ca + last) >> 1
+            t = np.broadcast_to(((ra + rb) >> 1)[:, :, None], j.shape)
+            real = (0 <= j) & (j <= t)
+            t, j = t[real], j[real]
+            probe = p[t] - q.take(n - 1 - j)
+            probe *= t + 1 - j
+            best = float(probe.max(initial=0.0))
+        # an empty piece may have last = -1; its clipped quality is unused
+        bound = p[ra][:, :, None] - q.take(n - 1 - last, mode="clip")
+        bound *= rb[:, :, None] + 1 - ca
+        reach = ((ca <= last) & (bound >= best)).any(axis=2)
+        # more pieces than rows leaves some row pieces empty
+        reach &= ra <= rb
+        keep = reach.any(axis=1)
+        first = reach.argmax(axis=1)[keep]
+        final = k - 1 - reach[:, ::-1].argmax(axis=1)[keep]
+        lo, hi = ra[keep, first], rb[keep, final]
+        lo_col, hi_col = lo_col[keep], hi_col[keep]
+        if not lo.size:
+            break
+
         mid = (lo + hi) >> 1
         # a row's band starts at the first column whose quality is below
         # its price; an empty band leaves the split at that column
@@ -265,14 +329,19 @@ def _row_maxima(
         entries += total
         peak = np.full(rows.size, -np.inf)
         arg = np.empty(rows.size, dtype=np.int64)
-        # flat entry f of scanned row b is column first[b] + f - starts[b]
+        # flat entry f of scanned row b is column first[b] + f - starts[b];
+        # a pass that fits one window cuts no block and merges nothing
+        whole = total <= _ENTRY_BUDGET
         for w0 in range(0, total, _ENTRY_BUDGET):
             w1 = min(w0 + _ENTRY_BUDGET, total)
-            b0 = int(ends.searchsorted(w0, "right"))
-            b1 = int(starts.searchsorted(w1))
-            cut = np.maximum(starts[b0:b1], w0)
-            size = np.minimum(ends[b0:b1], w1) - cut
-            cut -= w0
+            if whole:
+                b0, b1, cut, size = 0, rows.size, starts, lengths
+            else:
+                b0 = int(ends.searchsorted(w0, "right"))
+                b1 = int(starts.searchsorted(w1))
+                cut = np.maximum(starts[b0:b1], w0)
+                size = np.minimum(ends[b0:b1], w1) - cut
+                cut -= w0
             col = (first[b0:b1] - starts[b0:b1]).repeat(size)
             col += np.arange(w0, w1)
             values = p[rows[b0:b1]].repeat(size)
@@ -283,6 +352,9 @@ def _row_maxima(
             part = np.maximum.reduceat(values, cut)
             hits = (values == part.repeat(size)).nonzero()[0]
             part_arg = col.take(hits.take(hits.searchsorted(cut + size) - 1))
+            if whole:
+                peak, arg = part, part_arg
+                break
             # a block cut by the window start merges with its earlier
             # part; on a tie the later (rightmost) column wins
             later = part >= peak[b0:b1]
@@ -300,33 +372,6 @@ def _row_maxima(
             np.concatenate((lo_col[above], split[below])),
             np.concatenate((split[above], hi_col[below])),
         )
-        # cut each block with a band into a k x k grid of pieces (see the
-        # module docstring), keep the blocks with a piece bound >= best and
-        # trim their rows to such pieces; their columns stay whole
-        low = n - q.searchsorted(p[lo], "left")
-        np.maximum(low, lo_col, out=low)
-        top = np.minimum(hi_col, hi)
-        band = low <= top
-        lo, hi, lo_col, hi_col = lo[band], hi[band], lo_col[band], hi_col[band]
-        low, top = low[band], top[band]
-        k = max(1, isqrt(_PIECE_BUDGET // max(lo.size, 1)))
-        cut = np.arange(k + 1)
-        row_cut = lo[:, None] + (hi + 1 - lo)[:, None] * cut // k
-        col_cut = low[:, None] + (top + 1 - low)[:, None] * cut // k
-        ra, rb = row_cut[:, :-1], row_cut[:, 1:] - 1
-        ca, cb = col_cut[:, None, :-1], col_cut[:, None, 1:] - 1
-        last = np.minimum(cb, rb[:, :, None])
-        # an empty piece may have last = -1; its clipped quality is unused
-        bound = p[ra][:, :, None] - q.take(n - 1 - last, mode="clip")
-        bound *= rb[:, :, None] + 1 - ca
-        reach = ((ca <= last) & (bound >= best)).any(axis=2)
-        # more pieces than rows leaves some row pieces empty
-        reach &= ra <= rb
-        keep = reach.any(axis=1)
-        first = reach.argmax(axis=1)[keep]
-        final = k - 1 - reach[:, ::-1].argmax(axis=1)[keep]
-        lo, hi = ra[keep, first], rb[keep, final]
-        lo_col, hi_col = lo_col[keep], hi_col[keep]
     return (
         np.concatenate(found_rows),
         np.concatenate(found_max),

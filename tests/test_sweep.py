@@ -14,7 +14,7 @@ from conftest import (
     market_of,
     unpruned_row_maxima,
 )
-from productdesign import sweep
+from productdesign import market as market_mod, sweep
 
 
 def direct_scan_report(market):
@@ -81,10 +81,25 @@ def band_market(rng):
     return pd.Market.from_arrays(q + rng.integers(-3, 4, n), q)
 
 
-def shuffled(market, rng):
+def quarter_market(rng):
+    """Small market on quarter steps, with ties, negative margins and
+    zeros stored as both ``0.0`` and ``-0.0``, pruned."""
+    n = int(rng.integers(1, 120))
+    q = rng.integers(-8, 9, n) * 0.25
+    p = q + rng.integers(-4, 9, n) * 0.25
+    for col in (p, q):
+        col[np.flatnonzero(col == 0)[::2]] = -0.0
+    return pd.prune_dominated(
+        [pd.Customer(float(pp), (float(qq),)) for pp, qq in zip(p, q)]
+    )
+
+
+def shuffled(market, rng, validate=True):
     """The same customers in a random row order."""
     perm = rng.permutation(len(market))
-    return pd.Market.from_arrays(market.prices[perm], market.qualities[perm])
+    return pd.Market.from_arrays(
+        market.prices[perm], market.qualities[perm], validate=validate
+    )
 
 
 def ascending(market):
@@ -351,11 +366,12 @@ class TestBlockPruning:
             assert_matches_unpruned(float_market(rng, 60, 1, ties=True))
 
     def test_higher_priced_row_that_only_ties_is_kept(self):
-        # events (5,1), (3,0), (1,0): the first pass scans row 1, whose
-        # best entry (3 - 1) * 2 = 4 at quality 1 becomes the running best;
-        # row 0's block then has bound (5 - 1) * 1 = 4, a tie, and row 0
-        # is the first row holding the maximum.  Row 2's block has bound
-        # (1 - 0) * 3 = 3, so row 2 is the only row pruned.
+        # events (5,1), (3,0), (1,0): three rows get one piece per entry,
+        # each bounded by and probed at its entry, so before any scan the
+        # best is the maximum 4, held by row 0, (5 - 1) * 1, and by row 1,
+        # (3 - 1) * 2.  Row 0's piece only ties the best and is kept, and
+        # row 0 is the first row holding the maximum.  Row 2's pieces
+        # reach at most (1 - 0) * 2 = 2, so row 2 is the only row pruned.
         m = market_of((5, [1]), (3, [0]), (1, [0]))
         rep, stats = pd.solve_exact_1d_with_stats(m)
         assert_search_checked(m, rep)
@@ -380,25 +396,43 @@ class TestPositiveMarginBand:
             assert (row_max > 0.0).all(), f"market {i}"
 
     def test_empty_middle_row_splits_at_its_band(self):
-        # events (10,8), (5,6), (3,0): the first pass's middle row, event
-        # 1, has no quality below its price before column 2, so it is not
-        # scanned; rows 0 and 2 are, each over its one positive column
-        m = market_of((10, [8]), (5, [6]), (3, [0]))
+        # events (11,8), (5,6), (3,0); the positive entries are row 0's
+        # (11 - 8) * 1 = 3 and row 2's (3 - 0) * 1 = 3, and row 1's price 5
+        # is below every quality but event 2's, so its band starts at
+        # column 2, past the row itself.  Three rows get one piece per
+        # entry, whose bound is the entry and whose probe is the entry, so
+        # the best starts at 3 and the block is trimmed to rows 0..2, the
+        # first and last pieces reaching it.  The first pass's middle row,
+        # row 1, has an empty band: it is not scanned and splits at column
+        # 2, giving rows 0..0 columns 0..2 and rows 2..2 columns 2..2.
+        # Both reach 3, so the second pass scans one entry in each.
+        m = market_of((11, [8]), (5, [6]), (3, [0]))
         rows, row_max, row_arg, entries = search(m)
-        assert rows.tolist() == [0, 2] and row_max.tolist() == [2.0, 3.0]
+        assert rows.tolist() == [0, 2] and row_max.tolist() == [3.0, 3.0]
         assert row_arg.tolist() == [0, 2] and entries == 2
         rep, stats = pd.solve_exact_1d_with_stats(m)
-        assert rep.product == pd.Product(3, (0,)) and rep.profit == 3.0
+        # the first row holding the maximum is reported
+        assert rep.product == pd.Product(11, (8,)) and rep.profit == 3.0
         assert (stats.entries, stats.rows_pruned) == (2, 1)
         assert_matches_unpruned(m)
 
-    def test_block_bound_counts_from_the_band(self):
-        # events (13,10), (4,2), (2,1): the first pass scans row 1, whose
-        # entry (4 - 2) * 1 = 2 becomes the running best.  Row 2's block
-        # has columns 1..2, but only column 2 has a quality below its
-        # price, so its bound is (2 - 1) * 1 = 1 < 2 and it is dropped;
-        # counted from column 1 the bound would tie the best.
+    def test_block_bound_counts_from_the_band(self, monkeypatch):
+        # with the default grid, three rows get one piece per entry, whose
+        # bound is the entry itself, so the band shows only in a coarser
+        # piece: budget 1 bounds each block by one box.  Events (13,10),
+        # (4,2), (2,1).  Before any scan the whole block (rows 0..2,
+        # columns 0..2) probes its middle row 1 at its middle column 1,
+        # (4 - 2) * 1 = 2, and its box bound (13 - 1) * 3 = 36 keeps it.
+        # The first pass scans row 1 over its band, column 1 alone: the
+        # best stays 2.  Row 2's block has columns 1..2, but only column
+        # 2 has a quality below its price, so its bound is (2 - 1) * 1 = 1
+        # < 2 and it is dropped; counted from column 1 the bound would be
+        # (2 - 1) * 2 = 2, a tie, and row 2 would be scanned.  Row 0's
+        # block, (13 - 10) * 1 = 3, is kept and scanned: 2 entries.
+        monkeypatch.setattr(sweep, "_PIECE_BUDGET", 1)
         m = market_of((2, [1]), (4, [2]), (13, [10]))
+        rows, _, _, _ = search(m)
+        assert rows.tolist() == [1, 0]
         rep, stats = pd.solve_exact_1d_with_stats(m)
         assert rep.product == pd.Product(13, (10,)) and rep.profit == 3.0
         assert (stats.entries, stats.rows_pruned) == (2, 1)
@@ -408,7 +442,8 @@ class TestPositiveMarginBand:
 class TestStoredOrder:
     """A column stored in ascending order is read in reverse instead of
     sorted; either way the search gets the same events, so the report,
-    the counts and every searched row are those of a shuffled copy."""
+    the counts and every searched row are those of a shuffled copy, built
+    with or without validation."""
 
     @staticmethod
     def markets(rng):
@@ -421,6 +456,7 @@ class TestStoredOrder:
         for seed in range(4):
             n = int(rng.integers(1, 3000))
             yield pd.random_pareto_market(n, 1, seed=seed, value_range=(0, 20 * n))
+        yield from (quarter_market(rng) for _ in range(60))
 
     def test_ascending_and_shuffled_columns_agree(self, monkeypatch):
         seen = []
@@ -433,14 +469,22 @@ class TestStoredOrder:
         monkeypatch.setattr(sweep, "_row_maxima", spy)
         rng = np.random.default_rng(31)
         for i, m in enumerate(self.markets(rng)):
+            # a market built with validate=False tests its columns' order
+            # on its first solve, and must still sort shuffled ones
+            copies = (
+                ascending(m),
+                shuffled(m, rng),
+                shuffled(m, rng, validate=False),
+            )
             got = []
-            for stored in (ascending(m), shuffled(m, rng)):
+            for stored in copies:
                 seen.clear()
                 got.append((pd.solve_exact_1d_with_stats(stored), seen[0]))
-            (solved, rows), (solved_shuffled, rows_shuffled) = got
-            assert solved == solved_shuffled, f"market {i}"
-            for a, b in zip(rows, rows_shuffled):
-                assert np.array_equal(a, b), f"market {i}"
+            (solved, rows), *others = got
+            for solved_shuffled, rows_shuffled in others:
+                assert solved == solved_shuffled, f"market {i}"
+                for a, b in zip(rows, rows_shuffled):
+                    assert np.array_equal(a, b), f"market {i}"
 
     def test_ascending_prices_are_read_in_place(self, monkeypatch):
         # a sorted copy would not share the market's memory
@@ -471,6 +515,45 @@ class TestStoredOrder:
         rep = pd.solve_exact_1d(m)
         assert np.shares_memory(seen[0], m.qualities)
         assert rep == direct_scan_report(m)[0]
+
+    def test_each_column_order_is_tested_once(self, monkeypatch):
+        # a 1-D market keeps the answers of the Pareto check's order
+        # tests, so a solve tests only a column the check left untested
+        # (the qualities when the prices are not ascending, both columns
+        # of a market built with validate=False), and only the first time
+        tested = []
+        order_test = market_mod._ascending
+
+        def spy(x):
+            tested.append(x)
+            return order_test(x)
+
+        def columns(m):
+            return "".join(
+                "p" if np.shares_memory(x, m.prices) else "q" for x in tested
+            )
+
+        monkeypatch.setattr(market_mod, "_ascending", spy)
+        # a solver holding its own reference to the test is caught too
+        monkeypatch.setattr(sweep, "_ascending", spy, raising=False)
+        base = pd.random_pareto_market(500, 1, seed=3, value_range=(0, 10_000))
+        perm = np.random.default_rng(5).permutation(len(base))
+        cases = [
+            # columns, validate, columns tested by the build, by the solves
+            ((base.prices, base.qualities), True, "pq", ""),
+            ((base.prices[perm], base.qualities[perm]), True, "p", "q"),
+            ((base.prices, base.qualities), False, "", "pq"),
+            ((base.prices[perm], base.qualities[perm]), False, "", "pq"),
+        ]
+        expected = pd.solve_exact_1d_with_stats(base)
+        for arrays, validate, at_build, at_solve in cases:
+            tested.clear()
+            m = pd.Market.from_arrays(*arrays, validate=validate)
+            assert columns(m) == at_build, (validate, at_build)
+            tested.clear()
+            for _ in range(2):
+                assert pd.solve_exact_1d_with_stats(m) == expected
+            assert columns(m) == at_solve, (validate, at_build)
 
     @pytest.mark.parametrize(
         "rows",
@@ -531,8 +614,11 @@ class TestPieceBounds:
     """Each pruning step bounds a k x k grid of pieces per pending block,
     ``k = isqrt(_PIECE_BUDGET // blocks)``, and trims each kept block's
     rows to the pieces that may reach the best; budget 1 is the single
-    box bound per block.  No budget changes a report or a searched row's
-    maximum and rightmost argmax."""
+    box bound per block.  Before the first pass each piece probes one
+    real entry, so the best starts at most at the maximum.  No budget
+    changes a report or a searched row's maximum and rightmost argmax,
+    on markets with ties, quarter steps, zeros of both signs and
+    negative margins."""
 
     BUDGETS = (1, 2, 7, 50, sweep._PIECE_BUDGET)
 

@@ -3,9 +3,10 @@
 Time cannot gate a change on a shared host, but these counts can: work
 done may not exceed its committed value, work avoided may not fall below
 it, and results must equal it.  A change that moves a counter on purpose
-updates ``COMMITTED`` and says why in CHANGES.md.  The sweep and float
-markets are the ones ``productdesign bench`` builds, and every count is
-read from the ``diagnostics`` of the solve ``productdesign solve`` runs.
+updates ``COMMITTED`` and says why in CHANGES.md.  Criterion 8's sweep
+markets and the float markets are the ones ``productdesign bench``
+builds, and every count is read from the ``diagnostics`` of the solve
+``productdesign solve`` runs.
 """
 
 import pytest
@@ -17,8 +18,13 @@ from productdesign import cli
 COMMITTED = {
     # criterion 8's markets by n: (entries, rows_pruned, profit)
     "sweep": {
-        250_000: (152_085, 249_973, 2842304596.0),
-        1_000_000: (622_373, 999_964, 45349820544.0),
+        250_000: (72_123, 249_976, 2842304596.0),
+        1_000_000: (289_782, 999_972, 45349820544.0),
+    },
+    # the tie-heavy 1-D market, qualities 0..100 (101 distinct), by n:
+    # (entries, rows_pruned, profit)
+    "sweep_ties": {
+        250_000: (254_283, 249_968, 31303340838.0),
     },
     # `bench approx` float markets at epsilon 0.25 by (d, n): pruned n,
     # {searched level: its slicer work}, levels skipped, depth cap, profit
@@ -63,13 +69,23 @@ COMMITTED = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(COMMITTED["sweep"]))
-def test_sweep_counts(n):
-    entries, rows_pruned, profit = COMMITTED["sweep"][n]
-    report, diagnostics = cli._solve(cli._sweep_market(n), "exact1d", None)
+def check_sweep(market, entries, rows_pruned, profit):
+    """The 1-D search's work and answer against their committed values."""
+    report, diagnostics = cli._solve(market, "exact1d", None)
     assert diagnostics["entries"] <= entries
     assert diagnostics["rows_pruned"] >= rows_pruned
     assert report.profit == profit
+
+
+@pytest.mark.parametrize("n", sorted(COMMITTED["sweep"]))
+def test_sweep_counts(n):
+    check_sweep(cli._sweep_market(n), *COMMITTED["sweep"][n])
+
+
+@pytest.mark.parametrize("n", sorted(COMMITTED["sweep_ties"]))
+def test_tie_heavy_sweep_counts(n):
+    market = pd.random_pareto_market(n, 1, seed=8, value_range=(0, 100))
+    check_sweep(market, *COMMITTED["sweep_ties"][n])
 
 
 def check_ladder(report, diagnostics, work, skipped, cap, profit):
